@@ -7,7 +7,9 @@ priorities, deadlines and admission control
 structural protocol fingerprints (:mod:`~repro.service.cache`), a fleet
 of isolated chips with pluggable dispatch policies
 (:mod:`~repro.service.fleet`), and deterministic latency/throughput
-telemetry (:mod:`~repro.service.telemetry`).
+telemetry (:mod:`~repro.service.telemetry`).  Both serving tiers run
+jobs through one lifecycle (:mod:`~repro.service.lifecycle`): the same
+attempt body, lease code, admission and retry/terminal settlement.
 
 Quickstart::
 
@@ -77,7 +79,8 @@ from .jobs import (
     JobState,
     classify_error,
 )
-from .scheduler import ADMISSION_POLICIES, ExecutionService, ServiceConfig
+from .lifecycle import ADMISSION_POLICIES
+from .scheduler import ExecutionService, ServiceConfig
 from .telemetry import Counter, Histogram, Telemetry
 from .tenancy import (
     Footprint,

@@ -5,10 +5,12 @@ drains jobs on one thread over simulated time -- the deterministic
 behavioural reference.  This module is the tier that serves jobs for
 real: N chip workers, each owning one spawned backend (fault-injected
 when a plan is active) plus its compiled-program cache, pull jobs from
-a shared queue and push attempt outcomes to a completion queue; a
-coordinator thread applies the serving semantics (priority order,
-admission bounds, retry backoff, deadline expiry, telemetry) on a
-monotonic wall clock.
+a shared queue, run them through the shared attempt body
+(:func:`~repro.service.lifecycle.run_attempt`) and push the attempts
+to a completion queue; a coordinator thread settles them through the
+same job lifecycle as the virtual tier
+(:class:`~repro.service.lifecycle.JobLifecycle`) on a monotonic wall
+clock.
 
 Workers come in two flavours:
 
@@ -44,39 +46,34 @@ import threading
 import time
 from dataclasses import dataclass
 
-from ...core.backend import Backend
-from ...core.errors import BiochipError, ServiceError
-from ...core.session import Session, sweep_handles
-from ...faults import FaultInjector, FaultModel, FleetFaultPlan
+from ...core.errors import ServiceError
+from ...core.session import Session
 from ...observability import tracing
 from ..cache import ProgramCache
-from ..fleet import RegionLeaseAllocator
-from ..tenancy import (
-    LeasedBackend,
-    frame_merge_ratio,
-    merged_group_time,
-    protocol_footprint,
-    routing_separation,
-)
-from ..jobs import (
-    ErrorKind,
-    Job,
-    JobError,
-    JobResult,
-    JobState,
-    classify_error,
+from ..jobs import ErrorKind, JobError, JobResult, JobState
+from ..lifecycle import (
+    Attempt,
+    JobLifecycle,
+    add_counts,
+    bank_faults,
+    can_lease,
+    fleet_fault_plan,
+    lease_allocator,
+    lease_for,
+    leased_view,
+    next_streak,
+    run_attempt,
+    validate_serving_config,
+    with_faults,
 )
 from ..telemetry import Telemetry
+from ..tenancy import frame_merge_ratio, merged_group_time
 from .syncbridge import SenseTap, WallClock
 
 log = logging.getLogger("repro.service")
 
 #: Worker execution modes.
 WORKER_MODES = ("thread", "process")
-
-#: Admission behaviours when the queue is at ``max_queue_depth``
-#: (mirrors the virtual tier's).
-ADMISSION_POLICIES = ("reject", "shed-lowest")
 
 
 @dataclass
@@ -166,40 +163,10 @@ class ConcurrentConfig:
             raise ValueError(
                 f"mode must be one of {WORKER_MODES}, got {self.mode!r}"
             )
-        if self.admission not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"admission must be one of {ADMISSION_POLICIES}, "
-                f"got {self.admission!r}"
-            )
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff < 0.0:
-            raise ValueError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
-        if self.job_timeout is not None and self.job_timeout <= 0.0:
-            raise ValueError(
-                f"job_timeout must be positive, got {self.job_timeout}"
-            )
-        if self.quarantine_after is not None and self.quarantine_after < 1:
-            raise ValueError(
-                f"quarantine_after must be >= 1, got {self.quarantine_after}"
-            )
-        if self.restart_cooldown is not None and self.restart_cooldown < 0.0:
-            raise ValueError(
-                f"restart_cooldown must be >= 0, got {self.restart_cooldown}"
-            )
+        validate_serving_config(self)
         if self.poll_interval <= 0.0:
             raise ValueError(
                 f"poll_interval must be positive, got {self.poll_interval}"
-            )
-        if self.max_tenants < 1:
-            raise ValueError(
-                f"max_tenants must be >= 1, got {self.max_tenants}"
-            )
-        if self.lease_margin < 0:
-            raise ValueError(
-                f"lease_margin must be >= 0, got {self.lease_margin}"
             )
 
 
@@ -239,10 +206,7 @@ class _WorkerRuntime:
         # Faults injected into leased per-tenant views (their injectors
         # are discarded with the views, so the tallies live here).
         self._leased_faults = {}
-        self._can_lease = (
-            config.max_tenants > 1
-            and type(template).set_region is not Backend.set_region
-        )
+        self._can_lease = config.max_tenants > 1 and can_lease(template)
         # Process mode only: the local tracer's in-memory exporter;
         # finished span dicts are drained into each outcome message so
         # the coordinator can ingest them into the parent trace.
@@ -252,28 +216,16 @@ class _WorkerRuntime:
 
     def _build_session(self):
         """Spawn a fresh chip and wrap it (faults, sense tap)."""
-        backend = self.template.spawn()
-        self.injector = None
-        if self.plan is not None:
-            grid = backend.grid
-            model = self.plan.model_for(
-                self.worker_id, (grid.rows, grid.cols)
-            )
-            backend = FaultInjector(
-                backend, model,
-                seed=(self.plan.seed, self.worker_id, self.restarts),
-            )
-            self.injector = backend
+        backend = with_faults(
+            self.template.spawn(), self.plan, self.worker_id, self.restarts
+        )
+        self.injector = backend if self.plan is not None else None
         self.session = Session(
             SenseTap(backend, self._on_sense), registry=self.registry
         )
 
     def _fault_counters(self) -> dict:
-        totals = dict(self._leased_faults)
-        if self.injector is not None:
-            for name, value in self.injector.counters.items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
+        return bank_faults(dict(self._leased_faults), self.injector)
 
     def _restart(self) -> dict:
         """Power-cycle this worker's chip; returns the retired fault
@@ -340,20 +292,22 @@ class _WorkerRuntime:
                 if allow_bounce and self.worker_id in job.tried_chips:
                     self._send(("bounced", self.worker_id, job.job_id))
                     continue
-                now = self.clock.now()
-                if (job.deadline is not None
-                        and now - job.submitted_at > job.deadline):
-                    self._send((
-                        "outcome", self.worker_id, job.job_id,
-                        {"expired": True, "started_at": now,
-                         "finished_at": now,
-                         "faults": self._fault_counters()},
-                    ))
+                if job.expired(self.clock.now()):
+                    self._report(job, None)  # expired: never attempted
                     continue
                 runnable.append(job)
             leased, solo = [], runnable
             if len(runnable) > 1:
-                leased, solo = self._partition_lease(runnable)
+                allocator = lease_allocator(self.template, self.worker_id)
+                leased, solo = [], []
+                for job in runnable:
+                    tenancy = lease_for(
+                        job, allocator, self.config.lease_margin
+                    )
+                    if tenancy is None:  # no footprint, or no window left
+                        solo.append(job)
+                    else:
+                        leased.append((job, *tenancy))
             if len(leased) == 1:
                 # A lone leasable job gains nothing from the leased
                 # path; run it on the worker's own chip as usual.
@@ -367,148 +321,64 @@ class _WorkerRuntime:
                 break
         self._send(("stopped", self.worker_id, self._fault_counters()))
 
-    def _serve(self, job):
-        """One exclusive job: attempt, streak accounting, quarantine."""
-        self._send(("started", self.worker_id, job.job_id, self.clock.now()))
-        outcome = self._attempt(job)
-        error = outcome["error"]
-        if error is None:
-            self.streak = 0
-        elif error.retryable:
-            self.streak += 1
-        self._send(("outcome", self.worker_id, job.job_id, outcome))
-        threshold = self.config.quarantine_after
-        if threshold is not None and self.streak >= threshold:
-            self._quarantine_and_recover()
+    def _attempt(self, job, session, **kwargs) -> Attempt:
+        """Run one attempt of ``job`` on ``session`` through the shared
+        body, its sense readings streamed to the job's handle.
 
-    def _attempt(self, job) -> dict:
-        """Run one attempt of ``job`` on this worker's chip."""
-        started = self.clock.now()
-        backend = self.session.backend
-        chip_before = backend.elapsed
-        run = None
-        error = None
-        cache_hit = False
-        handles = {}
+        The attempt span is parented on the job's root span by its
+        shipped ids (a remote tuple): threads share the coordinator's
+        tracer, process workers run a local one and ship span dicts
+        back in the outcome.  Chip clocks reset per worker spawn, so
+        the span's domain clock is the SHARED wall clock and the
+        chip-local seconds ride along as an attribute.
+        """
         self._current_job_id = job.job_id
-        # The attempt span is parented on the job's root span by its
-        # shipped ids (a remote tuple): threads share the coordinator's
-        # tracer, process workers run a local one and ship span dicts
-        # back in the outcome.  Chip clocks reset per worker spawn, so
-        # the span's domain clock is the SHARED wall clock and the
-        # chip-local seconds ride along as an attribute.
-        with tracing.span(
-            "attempt",
+        attempt = run_attempt(
+            job, session, self.cache, self.worker_id, self.clock.now,
+            registry=self.registry,
             parent=(job.trace_id, job.root_span_id),
-            attributes={"attempt": job.attempts + 1, "chip": self.worker_id},
-            clock=self.clock.now,
-        ) as span:
-            try:
-                program, cache_hit = self.cache.get_or_compile(
-                    job.protocol, self.session, registry=self.registry,
-                    fingerprint=job.fingerprint,
-                )
-                run = self.session.run(program, handles=handles)
-            except BiochipError as exc:
-                error = classify_error(
-                    exc, chip_id=self.worker_id, attempts=job.attempts + 1
-                )
-            except Exception as exc:  # noqa: BLE001 -- same contract as
-                # the virtual tier: any dispatch bug terminalises the
-                # job instead of escaping with its cages leaked
-                error = JobError(
-                    kind=ErrorKind.PERMANENT,
-                    message=f"unexpected {type(exc).__name__}: {exc}",
-                    cause=exc,
-                    chip_id=self.worker_id,
-                    attempts=job.attempts + 1,
-                )
-            finally:
-                # leftover cages would poison this chip for later jobs
-                sweep_handles(backend, handles)
-                self._current_job_id = None
-            chip_seconds = backend.elapsed - chip_before
-            scale = self.config.time_scale
-            if scale:
-                # Device pacing: on real hardware the attempt *takes*
-                # its chip time; sleep out what simulation didn't spend.
-                target = chip_seconds * scale
-                spent = self.clock.now() - started
-                if target > spent:
-                    time.sleep(target - spent)
-            finished = self.clock.now()
-            budget = self.config.job_timeout
-            if (error is None and budget is not None
-                    and finished - started > budget):
-                error = JobError(
-                    kind=ErrorKind.TIMEOUT,
-                    message=(
-                        f"attempt took {finished - started:.3f}s, over the "
-                        f"{budget:.3f}s job timeout"
-                    ),
-                    chip_id=self.worker_id,
-                    attempts=job.attempts + 1,
-                )
-                run = None  # past-budget results are discarded
-            if span.recording:
-                span.set_attributes({
-                    "cache_hit": cache_hit,
-                    "chip_seconds": chip_seconds,
-                })
-                if error is not None:
-                    error.trace_id = span.trace_id
-                    error.span_id = span.span_id
-                    span.set_attribute("error.kind", error.kind.value)
-                    span.set_error(error.message)
-        if error is not None and self.strip_cause:
+            **kwargs,
+        )
+        self._current_job_id = None
+        if attempt.error is not None and self.strip_cause:
             # exception objects are not reliably picklable across the
             # process boundary; the structured JobError fields are
-            error.cause = None
+            attempt.error.cause = None
+        return attempt
+
+    def _pace(self, started, chip_seconds):
+        """Device pacing: on real hardware an attempt *takes* its chip
+        time, so sleep out what simulation didn't spend."""
+        scale = self.config.time_scale
+        if scale:
+            spent = self.clock.now() - started
+            if chip_seconds * scale > spent:
+                time.sleep(chip_seconds * scale - spent)
+
+    def _report(self, job, attempt, group=None):
+        """Ship one job's outcome to the coordinator (``attempt`` None:
+        the job expired before it ran)."""
         outcome = {
-            "error": error,
-            "run": run,
-            "cache_hit": cache_hit,
-            "started_at": started,
-            "finished_at": finished,
-            "chip_seconds": chip_seconds,
-            "expired": False,
+            "attempt": attempt,
+            "group": group,
             "faults": self._fault_counters(),
         }
         if self.span_buffer is not None:
             outcome["spans"] = self.span_buffer.drain()
-        return outcome
+        self._send(("outcome", self.worker_id, job.job_id, outcome))
+
+    def _serve(self, job):
+        """One exclusive job: attempt, streak accounting, quarantine."""
+        self._send(("started", self.worker_id, job.job_id, self.clock.now()))
+        attempt = self._attempt(
+            job, self.session,
+            budget=self.config.job_timeout, pace=self._pace,
+        )
+        self.streak = next_streak(self.streak, attempt.error)
+        self._report(job, attempt)
+        self._maybe_quarantine()
 
     # -- multi-tenant lanes --------------------------------------------------
-
-    def _partition_lease(self, jobs):
-        """Split ``jobs`` into leased ``(job, lease, offset)`` tenants
-        and jobs that must run exclusively (no static footprint, or no
-        window left on this chip)."""
-        grid = self.template.grid
-        allocator = RegionLeaseAllocator(
-            grid.rows, grid.cols,
-            guard=routing_separation(self.template),
-            chip_id=self.worker_id,
-        )
-        margin = self.config.lease_margin
-        leased, solo = [], []
-        for job in jobs:
-            footprint = protocol_footprint(job.protocol)
-            lease = None
-            if footprint is not None:
-                lease = allocator.allocate(
-                    footprint.rows + 2 * margin,
-                    footprint.cols + 2 * margin,
-                )
-            if lease is None:
-                solo.append(job)
-                continue
-            offset = (
-                lease.origin[0] + margin - footprint.row0,
-                lease.origin[1] + margin - footprint.col0,
-            )
-            leased.append((job, lease, offset))
-        return leased, solo
 
     def _run_group(self, leased):
         """Run a lease group: each tenant on its own leased view, the
@@ -518,160 +388,47 @@ class _WorkerRuntime:
             self._send(
                 ("started", self.worker_id, job.job_id, group_started)
             )
-        outcomes = []
+        attempts = []
         for job, lease, offset in leased:
-            outcomes.append(
-                (job, self._leased_attempt(job, lease, offset, group_started))
+            backend = leased_view(
+                self.template, lease, offset, self.plan, self.worker_id,
+                self.restarts, job.job_id,
             )
+            session = Session(
+                SenseTap(backend, self._on_sense), registry=self.registry
+            )
+            attempts.append(self._attempt(job, session, lease=lease))
+            bank_faults(self._leased_faults, backend.inner)
         group_time = merged_group_time(
-            [outcome["chip_seconds"] for __, outcome in outcomes],
-            [outcome["program_time"] for __, outcome in outcomes],
+            [a.chip_seconds for a in attempts],
+            [a.program_time for a in attempts],
         )
-        scale = self.config.time_scale
-        if scale:
-            # One pacing sleep for the whole group: concurrent tenants
-            # share the chip's wall time, which is what multi-tenancy
-            # buys.
-            target = group_time * scale
-            spent = self.clock.now() - group_started
-            if target > spent:
-                time.sleep(target - spent)
+        # One pacing sleep for the whole group: concurrent tenants
+        # share the chip's wall time, which is what multi-tenancy buys.
+        self._pace(group_started, group_time)
         finished = self.clock.now()
-        ratio = frame_merge_ratio(
-            [outcome["frames"] for __, outcome in outcomes]
-        )
-        self._send(
-            ("merged", self.worker_id, len(outcomes), ratio, group_time)
-        )
-        budget = self.config.job_timeout
-        for job, outcome in outcomes:
-            outcome["finished_at"] = finished
-            outcome["merged"] = len(outcomes)
-            if (outcome["error"] is None and budget is not None
-                    and finished - group_started > budget):
-                outcome["error"] = JobError(
-                    kind=ErrorKind.TIMEOUT,
-                    message=(
-                        f"attempt took {finished - group_started:.3f}s, over "
-                        f"the {budget:.3f}s job timeout"
-                    ),
-                    chip_id=self.worker_id,
-                    attempts=job.attempts + 1,
-                )
-                outcome["run"] = None
-            error = outcome["error"]
-            if error is None:
-                self.streak = 0
-            elif error.retryable:
-                self.streak += 1
-            self._send(("outcome", self.worker_id, job.job_id, outcome))
-        threshold = self.config.quarantine_after
-        if threshold is not None and self.streak >= threshold:
-            self._quarantine_and_recover()
-
-    def _leased_attempt(self, job, lease, offset, started) -> dict:
-        """One tenant's attempt on a fresh leased view of this chip.
-
-        The view is spawned from the template (same defect map when a
-        fault plan is active; transient stream seeded per tenant), its
-        region clipped to the lease, and wrapped in a
-        :class:`LeasedBackend` so the job executes in its own protocol
-        coordinates -- events and results come out bit-identical to an
-        exclusive run.
-        """
-        view = self.template.spawn()
-        view.set_region(lease.origin, lease.rows, lease.cols)
-        inner = view
-        if self.plan is not None:
-            grid = view.grid
-            model = self.plan.model_for(
-                self.worker_id, (grid.rows, grid.cols)
+        ratio = frame_merge_ratio([a.frames for a in attempts])
+        group = (len(attempts), ratio, group_time)
+        self._send(("merged", self.worker_id, *group))
+        for (job, __, __), attempt in zip(leased, attempts):
+            # The group's timeout is judged on its paced wall time,
+            # after the tenant spans closed; the error still carries
+            # its tenant's attempt-span ids.
+            attempt.started_at, attempt.finished_at = group_started, finished
+            attempt.enforce_timeout(
+                self.config.job_timeout, self.worker_id, job.attempts + 1
             )
-            inner = FaultInjector(
-                view, model,
-                seed=(self.plan.seed, self.worker_id, self.restarts,
-                      job.job_id),
-            )
-        leased_backend = LeasedBackend(inner, offset=offset)
-        session = Session(
-            SenseTap(leased_backend, self._on_sense), registry=self.registry
-        )
-        run = None
-        error = None
-        cache_hit = False
-        handles = {}
-        self._current_job_id = job.job_id
-        with tracing.span(
-            "attempt",
-            parent=(job.trace_id, job.root_span_id),
-            attributes={
-                "attempt": job.attempts + 1,
-                "chip": self.worker_id,
-                "leased": True,
-                "lease": f"{lease.origin}+{lease.rows}x{lease.cols}",
-            },
-            clock=self.clock.now,
-        ) as span:
-            try:
-                program, cache_hit = self.cache.get_or_compile(
-                    job.protocol, session, registry=self.registry,
-                    fingerprint=job.fingerprint,
-                )
-                run = session.run(program, handles=handles)
-            except BiochipError as exc:
-                error = classify_error(
-                    exc, chip_id=self.worker_id, attempts=job.attempts + 1
-                )
-            except Exception as exc:  # noqa: BLE001 -- same contract as
-                # the exclusive path
-                error = JobError(
-                    kind=ErrorKind.PERMANENT,
-                    message=f"unexpected {type(exc).__name__}: {exc}",
-                    cause=exc,
-                    chip_id=self.worker_id,
-                    attempts=job.attempts + 1,
-                )
-            finally:
-                sweep_handles(leased_backend, handles)
-                self._current_job_id = None
-            chip_seconds = leased_backend.elapsed
-            if span.recording:
-                span.set_attributes({
-                    "cache_hit": cache_hit,
-                    "chip_seconds": chip_seconds,
-                })
-                if error is not None:
-                    error.trace_id = span.trace_id
-                    error.span_id = span.span_id
-                    span.set_attribute("error.kind", error.kind.value)
-                    span.set_error(error.message)
-        if self.plan is not None:
-            for name, value in inner.counters.items():
-                self._leased_faults[name] = (
-                    self._leased_faults.get(name, 0) + value
-                )
-        if error is not None and self.strip_cause:
-            error.cause = None
-        outcome = {
-            "error": error,
-            "run": run,
-            "cache_hit": cache_hit,
-            "started_at": started,
-            "finished_at": started,  # patched after the group paces
-            "chip_seconds": chip_seconds,
-            "program_time": leased_backend.program_time,
-            "frames": leased_backend.frames,
-            "merged": 0,  # patched by _run_group's outcome loop
-            "expired": False,
-            "faults": self._fault_counters(),
-        }
-        if self.span_buffer is not None:
-            outcome["spans"] = self.span_buffer.drain()
-        return outcome
+            self.streak = next_streak(self.streak, attempt.error)
+            self._report(job, attempt, group)
+        self._maybe_quarantine()
 
-    def _quarantine_and_recover(self):
-        """Self-quarantine: stop pulling, wait out the cooldown (or a
+    def _maybe_quarantine(self):
+        """Self-quarantine after ``quarantine_after`` consecutive
+        retryable failures: stop pulling, wait out the cooldown (or a
         manual restart), then power-cycle and rejoin the pool."""
+        threshold = self.config.quarantine_after
+        if threshold is None or self.streak < threshold:
+            return
         self._send(("quarantined", self.worker_id, self.clock.now()))
         cooldown = self.config.restart_cooldown
         deadline = (
@@ -828,20 +585,14 @@ class _WorkerSlot:
         return self.health == "healthy"
 
     def retire_faults(self, counters):
-        for name, value in counters.items():
-            self.retired_faults[name] = (
-                self.retired_faults.get(name, 0) + value
-            )
+        add_counts(self.retired_faults, counters)
         self.current_faults = {}
 
     def fault_totals(self) -> dict:
-        totals = dict(self.retired_faults)
-        for name, value in self.current_faults.items():
-            totals[name] = totals.get(name, 0) + value
-        return totals
+        return add_counts(dict(self.retired_faults), self.current_faults)
 
 
-class ConcurrentExecutionService:
+class ConcurrentExecutionService(JobLifecycle):
     """Serve protocol jobs across a pool of wall-clock chip workers.
 
     The API mirrors :class:`~repro.service.scheduler.ExecutionService`
@@ -851,7 +602,9 @@ class ConcurrentExecutionService:
     or processes as they are submitted, and all durations are wall
     seconds on one monotonic clock.  ``submit(block=True)`` suspends
     the caller while the admission queue is full -- the backpressure
-    path the asyncio front end builds on.
+    path the asyncio front end builds on.  Over the shared
+    :mod:`~repro.service.lifecycle` this tier supplies the wall clock,
+    the worker pool and warm-lane steering.
 
     Use as a context manager (or call :meth:`close`) so workers are
     joined deterministically::
@@ -862,40 +615,25 @@ class ConcurrentExecutionService:
             results = service.drain()
     """
 
-    _UNSERVED_MESSAGES = {
-        JobState.REJECTED: "rejected at admission: queue full",
-        JobState.SHED: "shed from the queue for a higher-priority job",
-        JobState.EXPIRED: "deadline expired before a worker was free",
-    }
-
     def __init__(self, template_backend, config: ConcurrentConfig | None = None,
                  registry=None, faults=None):
         self.config = config or ConcurrentConfig()
         self.registry = registry
         self.clock = WallClock()
         self.telemetry = Telemetry()
-        if isinstance(faults, FaultModel):
-            faults = FleetFaultPlan(
-                models={i: faults for i in range(self.config.n_workers)}
-            )
-        self._plan = faults
+        self._plan = fleet_fault_plan(faults, range(self.config.n_workers))
         # -- coordination state (all under _lock) --
         self._lock = threading.RLock()
         self._capacity = threading.Condition(self._lock)
         self._terminal = threading.Condition(self._lock)
-        self._heap = []          # (sort_key, Job) priority queue
-        self._queued_count = 0   # QUEUED jobs the coordinator holds
+        self._init_lifecycle()   # priority queue, handles, root spans
         self._delayed = []       # (not_before, job_id, Job) backoff heap
         self._inflight = {}      # job_id -> Job handed to the pool
-        self._handles = {}       # job_id -> handle, dropped on resolve
-        self._job_spans = {}     # job_id -> live root Span (tracing on)
         self._last_errors = {}   # worker_id -> last JobError it reported
         self._results = []       # terminal results pending drain()
-        self._outstanding = 0    # submitted jobs not yet terminal
         self._bounces = {}       # job_id -> steering bounces so far
         self._cache_hits = 0
         self._cache_misses = 0
-        self._next_id = 0
         self._closed = False
         self._pump_stop = False
         # -- the pool --
@@ -963,27 +701,6 @@ class ConcurrentExecutionService:
         )
         self._pump.start()
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def simulator(cls, config=None, chip=None, registry=None, faults=None):
-        """A concurrent service whose chips are physical simulators."""
-        from ...core.backend import SimulatorBackend
-        from ...core.platform import Biochip
-
-        chip = chip if chip is not None else Biochip.small_chip()
-        return cls(SimulatorBackend(chip), config=config, registry=registry,
-                   faults=faults)
-
-    @classmethod
-    def dry_run(cls, config=None, registry=None, faults=None,
-                **backend_kwargs):
-        """A concurrent service on time/geometry-only chips."""
-        from ...core.backend import DryRunBackend
-
-        return cls(DryRunBackend(**backend_kwargs), config=config,
-                   registry=registry, faults=faults)
-
     # -- lifecycle ----------------------------------------------------------
 
     def __enter__(self):
@@ -1028,10 +745,10 @@ class ConcurrentExecutionService:
     def _drop_queued_jobs(self):
         """Pull every coordinator-held QUEUED job (heap + delay heap)."""
         dropped = [
-            job for __, job in self._heap if job.state is JobState.QUEUED
+            job for __, job in self._queue if job.state is JobState.QUEUED
         ]
         dropped += [job for __, __, job in self._delayed]
-        self._heap.clear()
+        self._queue.clear()
         self._delayed.clear()
         self._queued_count = 0
         return dropped
@@ -1039,11 +756,11 @@ class ConcurrentExecutionService:
     def _await_outstanding(self, timeout):
         with self._lock:
             deadline = time.monotonic() + timeout
-            while self._outstanding > 0:
+            while self._handles:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0.0:
                     raise ServiceError(
-                        f"{self._outstanding} jobs still not terminal "
+                        f"{len(self._handles)} jobs still not terminal "
                         f"after {timeout}s"
                     )
                 self._terminal.wait(remaining)
@@ -1089,121 +806,38 @@ class ConcurrentExecutionService:
                     self._capacity.wait(remaining)
                 if self._closed:
                     raise ServiceError("service closed while waiting to submit")
-            job = Job(
-                protocol=protocol,
-                job_id=self._next_id,
-                priority=priority,
-                deadline=deadline,
-                submitted_at=self.clock.now(),
-                fingerprint=fingerprint,
+            handle = self._enter(
+                protocol, priority, deadline, fingerprint, self.config.mode
             )
-            self._next_id += 1
-            handle = ConcurrentJobHandle(job)
-            self._handles[job.job_id] = handle
-            self._outstanding += 1
-            tracer = tracing.get_tracer()
-            if tracer is not None:
-                root = tracer.start_span(
-                    "job",
-                    parent=None,
-                    attributes={
-                        "job_id": job.job_id,
-                        "protocol": getattr(protocol, "name", ""),
-                        "tier": self.config.mode,
-                        "priority": priority,
-                    },
-                    clock=self.clock.now,
-                )
-                job.trace_id = root.trace_id
-                job.root_span_id = root.span_id
-                self._job_spans[job.job_id] = root
-            self.telemetry.count("submitted")
-            if not self._admit(job):
-                self._finish_unserved(job, JobState.REJECTED, "rejected")
-                return handle
-            span = self._job_spans.get(job.job_id)
-            if span is not None:
-                span.add_event("admit", queue_depth=self._queued_count + 1)
-            heapq.heappush(self._heap, (job.sort_key(), job))
-            self._queued_count += 1
-            handle._emit({"kind": "queued", "t": job.submitted_at})
-            self._refill()
+            if handle.job.state is JobState.QUEUED:  # admitted
+                handle._emit({"kind": "queued", "t": handle.job.submitted_at})
+                self._refill()
         return handle
 
-    def submit_many(self, jobs, block=False) -> list:
-        """Submit a batch; items are protocols or ``(protocol,
-        priority[, deadline])`` tuples.  Handles in submission order."""
-        handles = []
-        for item in jobs:
-            if isinstance(item, tuple):
-                handles.append(self.submit(*item, block=block))
-            else:
-                handles.append(self.submit(item, block=block))
-        return handles
+    def _new_handle(self, job):
+        return ConcurrentJobHandle(job)
 
-    def _admit(self, job) -> bool:
-        """Apply the queue bound (caller holds the lock)."""
-        limit = self.config.max_queue_depth
-        if limit is None or self._queued_count < limit:
-            return True
-        if self.config.admission == "reject":
-            return False
-        queued = [j for __, j in self._heap if j.state is JobState.QUEUED]
-        if not queued:
-            return False
-        weakest = min(queued, key=lambda j: (j.priority, -j.job_id))
-        if job.priority <= weakest.priority:
-            return False
-        self._finish_unserved(weakest, JobState.SHED, "shed")
-        self._queued_count -= 1  # lazily removed from the heap later
-        return True
-
-    def _finish_unserved(self, job, state, counter, message=None):
-        job.state = state
-        self.telemetry.count(counter)
-        result = JobResult(
-            job_id=job.job_id,
-            state=state,
-            protocol_name=getattr(job.protocol, "name", ""),
-            error=JobError(
-                kind=ErrorKind.REJECTED,
-                message=message or self._UNSERVED_MESSAGES[state],
-                chip_id=job.last_chip,
-                attempts=job.attempts,
-            ),
-            submitted_at=job.submitted_at,
-            started_at=job.submitted_at,
-            finished_at=job.submitted_at,
-            attempts=job.attempts,
-        )
-        self._resolve(job, result)
+    def _requeue(self, job, error):
+        """A retry sits in the delay heap until its backoff elapses --
+        the window is charged exactly once, never re-slept at
+        dispatch."""
+        heapq.heappush(self._delayed, (job.not_before, job.job_id, job))
+        handle = self._handles.get(job.job_id)
+        if handle is not None:
+            handle._emit({
+                "kind": "retrying", "worker": job.last_chip,
+                "attempts": job.attempts, "not_before": job.not_before,
+                "error": str(error), "t": self.clock.now(),
+            })
 
     def _resolve(self, job, result):
         """Terminalise ``job`` (caller holds the lock)."""
-        handle = self._handles.pop(job.job_id)
         self._bounces.pop(job.job_id, None)
-        self._outstanding -= 1
         self._results.append(result)
-        span = self._job_spans.pop(job.job_id, None)
-        if span is not None:
-            span.set_attributes({
-                "state": result.state.value,
-                "attempts": result.attempts,
-                "chip": result.chip_id,
-            })
-            if result.error is not None:
-                span.set_attribute("error.kind", result.error.kind.value)
-            if result.state is JobState.FAILED:
-                span.set_error(result.error.message)
-            span.end()
-            if result.state is JobState.FAILED:
-                tracing.dump_flight(
-                    "job %d failed: %s"
-                    % (job.job_id, result.error.kind.value)
-                )
-        handle._resolve(result)
+        super()._resolve(job, result)
         self._terminal.notify_all()
         self._capacity.notify_all()
+        return result
 
     # -- the coordinator ----------------------------------------------------
 
@@ -1274,7 +908,7 @@ class ConcurrentExecutionService:
                 continue
             job, __ = item
             if self._inflight.pop(job.job_id, None) is not None:
-                heapq.heappush(self._heap, (job.sort_key(), job))
+                heapq.heappush(self._queue, (job.sort_key(), job))
                 self._queued_count += 1
         job_ids = sorted(slot.current_job_ids)
         slot.current_job_ids = set()
@@ -1283,20 +917,17 @@ class ConcurrentExecutionService:
                 continue
             # Its in-flight attempt can never report an outcome; treat
             # the death as a retryable chip failure of that attempt.
-            self._handle_outcome(worker_id, job_id, {
-                "error": JobError(
+            now = self.clock.now()
+            self._handle_outcome(worker_id, job_id, {"attempt": Attempt(
+                started_at=now,
+                finished_at=now,
+                error=JobError(
                     kind=ErrorKind.TRANSIENT,
                     message=f"worker {worker_id} died mid-attempt: {detail}",
                     chip_id=worker_id,
                     attempts=self._inflight[job_id].attempts + 1,
                 ),
-                "run": None,
-                "cache_hit": False,
-                "started_at": self.clock.now(),
-                "finished_at": self.clock.now(),
-                "expired": False,
-                "faults": {},
-            })
+            )})
         if self._accepting_count() == 0:
             # No worker will ever serve again: fail everything the
             # coordinator holds instead of letting waiters hang.
@@ -1313,7 +944,7 @@ class ConcurrentExecutionService:
         now = self.clock.now()
         while self._delayed and self._delayed[0][0] <= now:
             __, __, job = heapq.heappop(self._delayed)
-            heapq.heappush(self._heap, (job.sort_key(), job))
+            heapq.heappush(self._queue, (job.sort_key(), job))
             self._queued_count += 1
 
     def _accepting_count(self) -> int:
@@ -1379,8 +1010,8 @@ class ConcurrentExecutionService:
         ):
             return
         skipped = []
-        while self._heap:
-            __, job = heapq.heappop(self._heap)
+        while self._queue:
+            __, job = heapq.heappop(self._queue)
             if job.state is not JobState.QUEUED:
                 continue  # shed after enqueue
             slot = self._select_worker(job, require_warm)
@@ -1406,7 +1037,7 @@ class ConcurrentExecutionService:
             self._warm[slot.worker_id].add(job.fingerprint)
             self._capacity.notify_all()
         for job in skipped:
-            heapq.heappush(self._heap, (job.sort_key(), job))
+            heapq.heappush(self._queue, (job.sort_key(), job))
 
     def _handle_message(self, message):
         kind = message[0]
@@ -1417,12 +1048,7 @@ class ConcurrentExecutionService:
             handle = self._handles.get(job_id)
             self._workers[worker_id].current_job_ids.add(job_id)
             if job is not None:
-                job.state = JobState.RUNNING
-                span = self._job_spans.get(job_id)
-                if span is not None:
-                    span.add_event(
-                        "dispatch", chip=worker_id, attempt=job.attempts + 1
-                    )
+                self._dispatched(job, worker_id)
             if handle is not None:
                 handle._emit({"kind": "started", "worker": worker_id, "t": t})
         elif kind == "sense":
@@ -1438,17 +1064,14 @@ class ConcurrentExecutionService:
             job = self._inflight.pop(job_id, None)
             if job is not None:
                 self._bounces[job_id] = self._bounces.get(job_id, 0) + 1
-                heapq.heappush(self._heap, (job.sort_key(), job))
+                heapq.heappush(self._queue, (job.sort_key(), job))
                 self._queued_count += 1
         elif kind == "outcome":
             __, worker_id, job_id, outcome = message
             self._handle_outcome(worker_id, job_id, outcome)
         elif kind == "merged":
             __, worker_id, tenants, ratio, group_time = message
-            self.telemetry.observe_tenancy(tenants, ratio)
-            self.telemetry.count("leased", tenants)
-            if tenants > 1:
-                self.telemetry.count("merged", tenants)
+            self._observe_group(tenants, ratio)
             log.debug(
                 "worker %d merged %d tenants (ratio %.2f, %.3fs chip)",
                 worker_id, tenants, ratio, group_time,
@@ -1458,16 +1081,10 @@ class ConcurrentExecutionService:
             slot = self._workers[worker_id]
             slot.health = "quarantined"
             slot.quarantined_at = t
-            self.telemetry.count("quarantined")
-            error = self._last_errors.get(worker_id)
-            log.warning(
-                "worker %d quarantined itself at t=%.3f "
-                "(trace_id=%s span_id=%s)",
-                worker_id, t,
-                error.trace_id if error is not None else "",
-                error.span_id if error is not None else "",
+            self._quarantined(
+                worker_id, self._last_errors.get(worker_id),
+                "itself at t=%.3f" % t,
             )
-            tracing.dump_flight("worker %d quarantined" % worker_id)
         elif kind == "restarted":
             __, worker_id, t, retired = message
             slot = self._workers[worker_id]
@@ -1476,11 +1093,7 @@ class ConcurrentExecutionService:
             slot.health = "healthy"
             slot.restarts += 1
             slot.quarantined_at = None
-            self.telemetry.count("restarted")
-            log.info(
-                "worker %d restarted at t=%.3f (restart #%d)",
-                worker_id, t, slot.restarts,
-            )
+            self._restarted(worker_id, slot.restarts, "at t=%.3f" % t)
         elif kind == "stopped":
             __, worker_id, counters = message
             slot = self._workers[worker_id]
@@ -1506,80 +1119,24 @@ class ConcurrentExecutionService:
         slot.current_job_ids.discard(job_id)
         if outcome.get("faults"):
             slot.current_faults = outcome["faults"]
-        if outcome.get("expired"):
+        attempt = outcome["attempt"]
+        if attempt is None:  # its deadline passed before it ran
             self._finish_unserved(job, JobState.EXPIRED, "expired")
             return
         slot.jobs_done += 1
         # A merged group occupied the chip once; split the wall time
         # across its tenants so utilization reflects chip occupancy.
+        group = outcome.get("group")
         slot.busy_time += (
-            (outcome["finished_at"] - outcome["started_at"])
-            / max(1, outcome.get("merged", 1))
+            (attempt.finished_at - attempt.started_at)
+            / (group[0] if group else 1)
         )
-        if outcome["cache_hit"]:
+        if attempt.cache_hit:
             self._cache_hits += 1
         else:
             self._cache_misses += 1
-        error = outcome["error"]
-        self._last_errors[worker_id] = error
-        job_span = self._job_spans.get(job_id)
-        if job.attempts > 0 and worker_id != job.last_chip:
-            self.telemetry.count("migrated")
-            if job_span is not None:
-                job_span.add_event(
-                    "migrate", from_chip=job.last_chip, to_chip=worker_id
-                )
-        if error is not None and error.kind is ErrorKind.TIMEOUT:
-            self.telemetry.count("timeout")
-        if (error is not None and error.retryable
-                and job.attempts < self.config.max_retries):
-            job.attempts += 1
-            job.last_chip = worker_id
-            job.tried_chips.add(worker_id)
-            backoff = (
-                self.config.retry_backoff * (2 ** (job.attempts - 1))
-            )
-            job.not_before = self.clock.now() + backoff
-            job.state = JobState.QUEUED
-            if job_span is not None:
-                job_span.add_event(
-                    "backoff",
-                    attempt=job.attempts,
-                    chip=worker_id,
-                    error=error.kind.value,
-                    backoff=backoff,
-                    not_before=job.not_before,
-                )
-            heapq.heappush(
-                self._delayed, (job.not_before, job.job_id, job)
-            )
-            self.telemetry.count("retried")
-            handle = self._handles.get(job_id)
-            if handle is not None:
-                handle._emit({
-                    "kind": "retrying", "worker": worker_id,
-                    "attempts": job.attempts, "not_before": job.not_before,
-                    "error": str(error), "t": self.clock.now(),
-                })
-            return
-        state = JobState.DONE if error is None else JobState.FAILED
-        job.state = state
-        self.telemetry.count("completed" if error is None else "failed")
-        result = JobResult(
-            job_id=job.job_id,
-            state=state,
-            protocol_name=getattr(job.protocol, "name", ""),
-            run=outcome["run"],
-            error=error,
-            chip_id=worker_id,
-            cache_hit=outcome["cache_hit"],
-            submitted_at=job.submitted_at,
-            started_at=outcome["started_at"],
-            finished_at=outcome["finished_at"],
-            attempts=job.attempts + 1,
-        )
-        self.telemetry.observe_served(result)
-        self._resolve(job, result)
+        self._last_errors[worker_id] = attempt.error
+        self._settle(job, worker_id, attempt, self.clock.now(), group)
 
     # -- draining / worker control ------------------------------------------
 
@@ -1604,8 +1161,7 @@ class ConcurrentExecutionService:
         with self._lock:
             totals = {}
             for slot in self._workers.values():
-                for name, value in slot.fault_totals().items():
-                    totals[name] = totals.get(name, 0) + value
+                add_counts(totals, slot.fault_totals())
             return totals
 
     def snapshot(self) -> dict:
@@ -1633,7 +1189,7 @@ class ConcurrentExecutionService:
                 "queue_depth": self._queued_count,
                 "delayed": len(self._delayed),
                 "inflight": len(self._inflight),
-                "outstanding": self._outstanding,
+                "outstanding": len(self._handles),
                 "utilization": {
                     slot.worker_id: (
                         slot.busy_time / now if now > 0.0 else 0.0

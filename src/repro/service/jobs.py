@@ -154,6 +154,12 @@ class Job:
         """Heap key: highest priority first, FIFO within a priority."""
         return (-self.priority, self.job_id)
 
+    def expired(self, now) -> bool:
+        """True when the queue-wait budget (``deadline``) ran out
+        before ``now`` -- the clock of the chip that would run it."""
+        return (self.deadline is not None
+                and now - self.submitted_at > self.deadline)
+
 
 @dataclass
 class JobResult:

@@ -217,6 +217,21 @@ def test_wall_clock_tenant_chaos(seed):
     assert counters["submitted"] == N_JOBS
     assert counters["completed"] + counters["failed"] == N_JOBS
     assert counters["completed"] == completed
+    # every eviction inside a lane's lease group is retried or ends FAILED
+    assert counters["evicted"] <= counters["retried"] + counters["failed"]
     # lanes actually co-scheduled work and merged frames
     assert snap["tenancy"]["groups"] >= 1
     assert snap["tenancy"]["co_residency"]["max"] >= 2
+
+
+def test_wall_clock_timeout_evicts_lease_group_tenants(timed_out_lease_group):
+    """On the wall tier too, a retryable failure inside a lease group
+    evicts the tenant it hits: the group's timed-out tenants count as
+    evictions, the job that ran alone before them does not."""
+    handles, snap = timed_out_lease_group(tenants=4)
+    assert all(
+        h.result().error.kind is ErrorKind.TIMEOUT for h in handles
+    )
+    counters = snap["counters"]
+    assert counters["evicted"] == 4  # the whole group, not the solo job
+    assert counters["evicted"] <= counters["retried"] + counters["failed"]

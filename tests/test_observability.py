@@ -34,7 +34,11 @@ from repro.observability.exporters import (
     InMemorySpanExporter,
     JsonlSpanExporter,
 )
-from repro.service import ConcurrentConfig, ConcurrentExecutionService
+from repro.service import (
+    ConcurrentConfig,
+    ConcurrentExecutionService,
+    ErrorKind,
+)
 from repro.service.telemetry import Telemetry
 from repro.workloads import hot_protocol_traffic
 
@@ -362,6 +366,24 @@ class TestServiceTracing:
         assert root["attributes"]["state"] == "rejected"
         assert root["status"] == "ok"  # the service refused; no crash
         assert root["attributes"]["error.kind"] == "rejected"
+
+    def test_lease_group_timeout_errors_carry_trace_ids(
+            self, timed_out_lease_group):
+        """A wall-clock lease group's timeout is judged after the group
+        paces, when its tenants' attempt spans have already closed;
+        each TIMEOUT error must still resolve to its own tenant's
+        attempt span."""
+        with tracing.capture() as tracer:
+            handles, __ = timed_out_lease_group(tenants=2)
+        assert_trace_integrity(tracer)
+        attempts = {s["span_id"]: s for s in tracer.finished_spans
+                    if s["name"] == "attempt"}
+        for handle in handles:
+            error = handle.result().error
+            assert error.kind is ErrorKind.TIMEOUT
+            span = attempts[error.span_id]
+            assert span["trace_id"] == error.trace_id == handle.job.trace_id
+            assert span["parent_id"] == handle.job.root_span_id
 
     def test_quarantine_log_line_carries_trace_ids(self, caplog):
         plan = FleetFaultPlan(models={

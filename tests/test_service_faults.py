@@ -3,13 +3,21 @@ and migration, per-job timeouts, the structured error taxonomy, and the
 admission edge cases under faults (satellites of the robustness PR)."""
 
 import heapq
+import threading
 
 import numpy as np
 import pytest
 
-from repro import Biochip, ExecutionService, Protocol, ServiceConfig
+from repro import Biochip, ExecutionService, Protocol, ServiceConfig, Session
 from repro.faults import FaultModel, FleetFaultPlan
-from repro.service import ChipHealth, ErrorKind, JobError, JobState
+from repro.service import (
+    ChipHealth,
+    ConcurrentConfig,
+    ConcurrentExecutionService,
+    ErrorKind,
+    JobError,
+    JobState,
+)
 
 SHAPE = (48, 48)  # Biochip.small_chip() grid
 
@@ -214,25 +222,69 @@ class TestUnexpectedExceptionSweep:
     """Satellite 2: a non-BiochipError escaping dispatch must still
     sweep the chip and terminalise the job."""
 
-    def test_unexpected_exception_fails_job_and_sweeps_chip(self):
-        service = faulted_service({0: clean()}, n_chips=1)
-        worker = service.fleet.workers[0]
-        original_run = worker.session.run
+    @pytest.mark.parametrize("max_tenants", [1, 4])
+    @pytest.mark.parametrize("tier", ["virtual", "thread"])
+    def test_unexpected_exception_fails_job_and_sweeps_chip(
+            self, tier, max_tenants, monkeypatch):
+        """Pinned on every call shape of the shared attempt body: the
+        virtual and thread tiers, each exclusive (``max_tenants=1``)
+        and leased (``max_tenants=4``)."""
+        armed = {"on": True}
+        trapped_on = []  # backends a failing run left a cage on
+        original_run = Session.run
 
-        def bad_run(program, handles=None):
-            handles["p"] = worker.session.backend.trap((2, 2))
+        def bad_run(session, program, handles=None):
+            if not armed["on"] or program.protocol.name == "blocker":
+                return original_run(session, program, handles=handles)
+            handles["p"] = session.backend.trap((2, 2))
+            trapped_on.append(session.backend)
             raise ValueError("boom")
 
-        worker.session.run = bad_run
-        result = service.submit(tiny_protocol()).wait()
-        assert result.state is JobState.FAILED
-        assert result.error.kind is ErrorKind.PERMANENT
-        assert "unexpected ValueError: boom" in str(result.error)
-        # the trapped cage was swept despite the unexpected exception
-        assert worker.session.backend.cage_count == 0
+        monkeypatch.setattr(Session, "run", bad_run)
+        bad = [tiny_protocol("bad0"), tiny_protocol("bad1")]
+        if tier == "virtual":
+            service = faulted_service(
+                {0: clean()}, n_chips=1, max_tenants=max_tenants,
+                max_retries=3,
+            )
+            results = [h.wait() for h in service.submit_many(bad)]
+            snap = service.snapshot()
+            armed["on"] = False
+            after = service.submit(tiny_protocol("after")).wait()
+        else:
+            with ConcurrentExecutionService.dry_run(
+                    ConcurrentConfig(
+                        n_workers=1, max_tenants=max_tenants, max_retries=3,
+                        time_scale=0.02, quarantine_after=None,
+                    ),
+                    grid=Biochip.small_chip().grid) as service:
+                # The paced blocker holds the worker while both failing
+                # jobs queue in its lane, so under tenancy they are
+                # pulled together and run as one lease group.
+                started = threading.Event()
+                service.submit(tiny_protocol("blocker", column=40)).subscribe(
+                    lambda event: event["kind"] == "started" and started.set()
+                )
+                assert started.wait(30.0)
+                handles = service.submit_many(bad)
+                results = [h.wait(timeout=60.0) for h in handles]
+                snap = service.snapshot()
+                armed["on"] = False
+                after = service.submit(tiny_protocol("after")).wait(60.0)
+        for result in results:
+            assert result.state is JobState.FAILED
+            assert result.error.kind is ErrorKind.PERMANENT
+            assert "unexpected ValueError: boom" in str(result.error)
+            assert result.attempts == 1
+        assert snap["counters"]["retried"] == 0
+        # the call shape under test really ran: leased iff tenancy on
+        # (the thread tier leases only a group of two or more)
+        assert (snap["counters"]["leased"] > 0) == (max_tenants > 1)
+        # every trapped cage was swept despite the unexpected exception
+        assert len(trapped_on) == len(bad)
+        assert all(backend.cage_count == 0 for backend in trapped_on)
         # the chip is not poisoned: a normal job runs clean afterwards
-        worker.session.run = original_run
-        assert service.submit(tiny_protocol("after")).wait().ok
+        assert after.ok
 
     def test_unexpected_exception_is_not_retried(self):
         service = faulted_service({0: clean(), 1: clean()}, max_retries=3)
