@@ -40,6 +40,7 @@ class CompiledProgram:
     binder: Binder
     op_commands: dict = field(default_factory=dict)  # op_id -> command
     registry: object = None  # the CommandRegistry it was compiled with
+    run_order: tuple = ()  # (start, op_id) pairs, see ordered_commands
 
     @property
     def makespan(self) -> float:
@@ -50,13 +51,19 @@ class CompiledProgram:
         """(start_time, op_id, command) sorted by scheduled start.
 
         Ties are broken by op insertion order, so handle data flow is
-        preserved for equal starts.
+        preserved for equal starts.  The order is fixed at compile time;
+        commands are looked up in ``op_commands``, so a program rebound to
+        another protocol's commands runs those.
         """
-        order = {op.op_id: i for i, op in enumerate(self.graph.operations())}
-        entries = sorted(
-            self.schedule.entries, key=lambda e: (e.start, order[e.op_id])
-        )
-        return [(e.start, e.op_id, self.op_commands[e.op_id]) for e in entries]
+        commands = self.op_commands
+        return [(start, op_id, commands[op_id]) for start, op_id in self.run_order]
+
+
+def _run_order(graph, schedule):
+    """(start, op_id) of every scheduled op, by start then topological order."""
+    order = {op.op_id: i for i, op in enumerate(graph.operations())}
+    entries = sorted(schedule.entries, key=lambda e: (e.start, order[e.op_id]))
+    return tuple((e.start, e.op_id) for e in entries)
 
 
 def compile_protocol(
@@ -90,4 +97,5 @@ def compile_protocol(
         binder=binder,
         op_commands=op_commands,
         registry=registry,
+        run_order=_run_order(graph, schedule),
     )

@@ -9,6 +9,7 @@ head-to-head on makespan and utilisation.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .binder import Binder
@@ -106,45 +107,57 @@ class Schedule:
 
 
 class _ResourceState:
-    """Tracks committed (start, end) intervals on one resource.
+    """Occupancy of one resource as a step function of time.
 
-    ``earliest_slot`` finds the first time >= ready_time at which the
-    occupancy stays below capacity for an entire operation duration --
-    candidate starts are the ready time and every interval end after it
-    (occupancy only decreases at interval ends).
+    ``times`` holds the sorted breakpoints (every committed start and
+    end); ``levels[i]`` is the number of operations running on
+    ``[times[i], times[i + 1])``, and the level before ``times[0]`` is 0.
     """
 
     def __init__(self, resource):
-        self.resource = resource
-        self.intervals = []  # list of (start, end)
-
-    def _occupancy_below_capacity(self, start, end):
-        # count max overlap within [start, end): evaluate at candidate
-        # instants = start and every interval start inside the window.
-        probes = [start] + [
-            t0 for t0, __ in self.intervals if start < t0 < end
-        ]
-        for probe in probes:
-            count = sum(1 for t0, t1 in self.intervals if t0 <= probe < t1)
-            if count >= self.resource.capacity:
-                return False
-        return True
+        self.capacity = resource.capacity
+        self.times = []
+        self.levels = []
 
     def earliest_slot(self, ready_time, duration):
-        """Earliest start >= ready_time with capacity for ``duration``."""
+        """Earliest start >= ready_time with capacity for ``duration``.
+
+        One forward sweep over the breakpoints after ``ready_time``,
+        tracking where the current below-capacity run began.  A start
+        can only be blocked by a saturated breakpoint ``t`` with
+        ``run < t < run + duration``; the next run begins at the first
+        breakpoint where the level drops below capacity again (always a
+        committed end).
+        """
         if duration <= 0.0:
             duration = 1e-12  # degenerate ops still occupy an instant
-        candidates = sorted(
-            {ready_time} | {end for __, end in self.intervals if end > ready_time}
-        )
-        for candidate in candidates:
-            if self._occupancy_below_capacity(candidate, candidate + duration):
-                return candidate
-        # all intervals end before the last candidate; that one must fit
-        return candidates[-1]
+        times, levels, capacity = self.times, self.levels, self.capacity
+        i = bisect_right(times, ready_time)
+        run = ready_time if i == 0 or levels[i - 1] < capacity else None
+        for t, level in zip(times[i:], levels[i:]):
+            if level < capacity:
+                if run is None:
+                    run = t
+            elif run is not None:
+                if t >= run + duration:
+                    return run
+                run = None
+        return run
+
+    def _breakpoint(self, t):
+        """Index of breakpoint ``t``, inserting it if new."""
+        i = bisect_left(self.times, t)
+        if i == len(self.times) or self.times[i] != t:
+            self.times.insert(i, t)
+            self.levels.insert(i, self.levels[i - 1] if i else 0)
+        return i
 
     def commit(self, start, end):
-        self.intervals.append((start, end))
+        i = self._breakpoint(start)
+        j = self._breakpoint(end)
+        levels = self.levels
+        for k in range(i, j):
+            levels[k] += 1
 
 
 @dataclass

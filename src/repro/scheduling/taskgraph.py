@@ -9,16 +9,14 @@ is the classic CAD problem the DATE audience would recognise; the few
 academic DMFB tools that exist (MFSim, the UCR framework) are built
 around exactly this abstraction.
 
-The graph is a thin layer over :mod:`networkx` with typed operations
-and duration models.
+The graph is a plain-Python DAG (insertion-ordered adjacency lists)
+with typed operations and duration models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-
-import networkx as nx
 
 
 class OpType(Enum):
@@ -115,58 +113,119 @@ class DurationModel:
 
 
 class AssayGraph:
-    """A DAG of :class:`Operation` nodes with dependency edges."""
+    """A DAG of :class:`Operation` nodes with dependency edges.
+
+    Nodes and edges live in insertion-ordered adjacency lists.  An edge
+    added by :meth:`add` can only come from an operation already in the
+    graph, so :meth:`add` cannot close a cycle; :meth:`depend`, which
+    links two existing operations, checks reachability first.  Every
+    rejected mutation leaves the graph unchanged.
+    """
 
     def __init__(self, name="assay"):
         self.name = name
-        self._graph = nx.DiGraph()
+        self._ops = {}  # op_id -> Operation, in insertion order
+        self._preds = {}  # op_id -> predecessor ids, in edge-insertion order
+        self._succs = {}  # op_id -> successor ids, in edge-insertion order
+        self._edges = 0
+        self._order = None  # cached operations(), dropped on mutation
 
     # -- construction ------------------------------------------------------
 
     def add(self, operation, after=()):
         """Add an operation, depending on the ids in ``after``."""
-        if operation.op_id in self._graph:
-            raise ValueError(f"duplicate operation id {operation.op_id}")
-        self._graph.add_node(operation.op_id, op=operation)
-        for dep in after:
-            if dep not in self._graph:
+        op_id = operation.op_id
+        if op_id in self._ops:
+            raise ValueError(f"duplicate operation id {op_id}")
+        deps = list(dict.fromkeys(after))
+        for dep in deps:
+            if dep == op_id:
+                raise ValueError(f"adding {op_id} would create a cycle")
+            if dep not in self._ops:
                 raise ValueError(f"dependency {dep} not in graph")
-            self._graph.add_edge(dep, operation.op_id)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_node(operation.op_id)
-            raise ValueError(f"adding {operation.op_id} would create a cycle")
+        self._ops[op_id] = operation
+        self._preds[op_id] = deps
+        self._succs[op_id] = []
+        for dep in deps:
+            self._succs[dep].append(op_id)
+        self._edges += len(deps)
+        self._order = None
         return operation
+
+    def depend(self, before, after):
+        """Add the edge ``before -> after`` between two existing operations.
+
+        Raises ValueError if either id is unknown or if ``before`` is
+        reachable from ``after`` (the edge would close a cycle).  An edge
+        that already exists is left as it is.
+        """
+        for op_id in (before, after):
+            if op_id not in self._ops:
+                raise ValueError(f"operation {op_id} not in graph")
+        if after in self._succs[before]:
+            return
+        stack, seen = [after], {after}
+        while stack:
+            node = stack.pop()
+            if node == before:
+                raise ValueError(
+                    f"edge {before} -> {after} would create a cycle"
+                )
+            for succ in self._succs[node]:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+        self._succs[before].append(after)
+        self._preds[after].append(before)
+        self._edges += 1
+        self._order = None
 
     # -- queries -----------------------------------------------------------
 
     def __len__(self):
-        return self._graph.number_of_nodes()
+        return len(self._ops)
 
     def __contains__(self, op_id):
-        return op_id in self._graph
+        return op_id in self._ops
 
     def operation(self, op_id) -> Operation:
         try:
-            return self._graph.nodes[op_id]["op"]
+            return self._ops[op_id]
         except KeyError:
             raise KeyError(f"no operation {op_id!r} in graph {self.name!r}") from None
 
+    def _topological_order(self):
+        """Kahn's algorithm with a FIFO queue: the roots in insertion
+        order, then each operation's successors in edge-insertion order
+        as they become free -- generation by generation, the order
+        networkx's ``topological_sort`` yields for the same inserts."""
+        if self._order is None:
+            indegree = {op_id: len(preds) for op_id, preds in self._preds.items()}
+            order = [op_id for op_id, deg in indegree.items() if deg == 0]
+            for op_id in order:  # grows while iterated: a FIFO queue
+                for succ in self._succs[op_id]:
+                    indegree[succ] -= 1
+                    if indegree[succ] == 0:
+                        order.append(succ)
+            self._order = order
+        return self._order
+
     def operations(self):
         """All operations in insertion-stable topological order."""
-        return [self.operation(op_id) for op_id in nx.topological_sort(self._graph)]
+        return [self._ops[op_id] for op_id in self._topological_order()]
 
     def predecessors(self, op_id):
-        return sorted(self._graph.predecessors(op_id))
+        return sorted(self._preds[op_id])
 
     def successors(self, op_id):
-        return sorted(self._graph.successors(op_id))
+        return sorted(self._succs[op_id])
 
     def roots(self):
         """Operations with no dependencies."""
-        return sorted(n for n in self._graph if self._graph.in_degree(n) == 0)
+        return sorted(op_id for op_id, preds in self._preds.items() if not preds)
 
     def edge_count(self) -> int:
-        return self._graph.number_of_edges()
+        return self._edges
 
     def total_work(self) -> float:
         """Sum of all operation durations [s]."""
@@ -175,25 +234,27 @@ class AssayGraph:
     def critical_path_length(self) -> float:
         """Longest dependency chain duration [s] -- the makespan lower bound."""
         longest = {}
-        for op_id in nx.topological_sort(self._graph):
-            duration = self.operation(op_id).duration
-            preds = list(self._graph.predecessors(op_id))
-            longest[op_id] = duration + (max(longest[p] for p in preds) if preds else 0.0)
+        for op_id in self._topological_order():
+            preds = self._preds[op_id]
+            longest[op_id] = self._ops[op_id].duration + (
+                max(longest[p] for p in preds) if preds else 0.0
+            )
         return max(longest.values(), default=0.0)
 
     def bottom_levels(self):
         """Map op_id -> critical-path-to-exit length [s] (list-sched priority)."""
         levels = {}
-        for op_id in reversed(list(nx.topological_sort(self._graph))):
-            duration = self.operation(op_id).duration
-            succs = list(self._graph.successors(op_id))
-            levels[op_id] = duration + (max(levels[s] for s in succs) if succs else 0.0)
+        for op_id in reversed(self._topological_order()):
+            succs = self._succs[op_id]
+            levels[op_id] = self._ops[op_id].duration + (
+                max(levels[s] for s in succs) if succs else 0.0
+            )
         return levels
 
     def validate(self):
         """Raise ValueError on structural problems (cycles are prevented at
         construction; this re-checks and verifies durations)."""
-        if not nx.is_directed_acyclic_graph(self._graph):
+        if len(self._topological_order()) != len(self._ops):
             raise ValueError("assay graph has a cycle")
         for op in self.operations():
             if op.duration < 0.0:

@@ -60,6 +60,62 @@ class TestAssayGraph:
         with pytest.raises(ValueError):
             graph.add(Operation("b", OpType.MOVE, 1.0), after=["nope"])
 
+    @staticmethod
+    def snapshot(graph):
+        return (
+            len(graph),
+            [op.op_id for op in graph.operations()],
+            graph.edge_count(),
+            {op.op_id: graph.successors(op.op_id) for op in graph.operations()},
+        )
+
+    def test_rejected_add_leaves_graph_unchanged(self):
+        graph = self.build_diamond()
+        before = self.snapshot(graph)
+        rejected = [
+            (Operation("a", OpType.MOVE, 1.0), ["d"]),  # duplicate id
+            (Operation("b2", OpType.MOVE, 1.0), ["a", "nope"]),  # unknown dep
+            (Operation("e", OpType.MOVE, 1.0), ["d", "e"]),  # self-dependency
+        ]
+        for operation, after in rejected:
+            with pytest.raises(ValueError):
+                graph.add(operation, after=after)
+            assert self.snapshot(graph) == before
+        assert "b2" not in graph and "e" not in graph
+
+    def test_self_dependency_rejected_as_cycle(self):
+        graph = AssayGraph()
+        with pytest.raises(ValueError, match="cycle"):
+            graph.add(Operation("a", OpType.TRAP, 1.0), after=["a"])
+        assert len(graph) == 0
+
+    def test_depend_adds_edge(self):
+        graph = self.build_diamond()
+        graph.depend("b", "c")
+        assert graph.predecessors("c") == ["a", "b"]
+        order = [op.op_id for op in graph.operations()]
+        assert order.index("b") < order.index("c")
+        assert graph.edge_count() == 5
+        graph.depend("b", "c")  # an existing edge is left as it is
+        assert graph.edge_count() == 5
+
+    def test_depend_rejects_cycle_and_leaves_graph_unchanged(self):
+        graph = self.build_diamond()
+        before = self.snapshot(graph)
+        for edge in [("d", "a"), ("c", "a"), ("d", "b"), ("b", "b")]:
+            with pytest.raises(ValueError, match="cycle"):
+                graph.depend(*edge)
+            assert self.snapshot(graph) == before
+        graph.validate()
+
+    def test_depend_rejects_unknown_ids(self):
+        graph = self.build_diamond()
+        before = self.snapshot(graph)
+        for edge in [("a", "nope"), ("nope", "a")]:
+            with pytest.raises(ValueError, match="not in graph"):
+                graph.depend(*edge)
+            assert self.snapshot(graph) == before
+
     def test_topological_order(self):
         graph = self.build_diamond()
         order = [op.op_id for op in graph.operations()]
