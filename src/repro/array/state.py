@@ -66,28 +66,6 @@ def inflate_mask(mask, radius):
     return out
 
 
-def dilate8_into(src, out, tmp):
-    """One-step 8-neighbour (king move) dilation of a 2-D bool grid.
-
-    Writes ``src`` OR'd with its eight shifted copies into ``out`` and
-    returns ``out``.  ``src``, ``out`` and ``tmp`` must be distinct
-    same-shaped bool arrays: the 3x3 structuring element is separable,
-    so the kernel is a horizontal pass (``src`` -> ``tmp``) followed by
-    a vertical pass (``tmp`` -> ``out``) -- four shifted ORs total,
-    each reading only the previous buffer (shifted ORs *in place* on
-    overlapping views would smear values across the whole row).  This
-    is the inner kernel of the wavefront router's frontier expansion,
-    called once per BFS level instead of once per expanded node.
-    """
-    np.copyto(tmp, src)
-    tmp[:, :-1] |= src[:, 1:]
-    tmp[:, 1:] |= src[:, :-1]
-    np.copyto(out, tmp)
-    out[:-1, :] |= tmp[1:, :]
-    out[1:, :] |= tmp[:-1, :]
-    return out
-
-
 def first_pairwise_violation(sites, separation, rows, cols):
     """First pair of sites closer than ``separation`` (Chebyshev), or None.
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..array.grid import ElectrodeGrid
 from ..array.state import inflate_mask
+from .bitrows import dilate8, pack_rows, row_stride, unpack_rows
 
 #: The eight king-move directions plus wait, in deterministic order.
 MOVES_8 = (
@@ -126,32 +127,31 @@ def distance_field(free, source, max_levels=None):
 
     Grid moves are unit cost, so Dijkstra collapses to a breadth-first
     wavefront: each level is one 8-neighbour dilation of the reached
-    set masked by ``free`` -- whole-grid boolean ops instead of per-node
+    set masked by ``free``, run on the whole grid packed into one
+    row-bitset integer (:mod:`repro.routing.bitrows`) instead of per-node
     heap expansions.  Returns an int32 grid of distances (-1 where
     unreachable).  ``source`` itself need not be free (a cage may start
-    on an electrode that died under it).  With no obstacles the field
-    equals the closed-form Chebyshev distance; its value is routing
-    *around* dead pixels, where cages sharing a goal share one field.
+    on an electrode that died under it).  At most ``max_levels`` levels
+    are expanded; sites further away read -1.  With no obstacles the
+    field equals the closed-form Chebyshev distance; its value is
+    routing *around* dead pixels, where cages sharing a goal share one
+    field.
     """
-    from ..array.state import dilate8_into
-
     free = np.asarray(free, dtype=bool)
     rows, cols = free.shape
+    stride = row_stride(cols, 1)
+    open_bits = int.from_bytes(pack_rows(free, 1, stride), "little")
     field = np.full((rows, cols), -1, dtype=np.int32)
-    reached = np.zeros((rows, cols), dtype=bool)
-    frontier = np.zeros((rows, cols), dtype=bool)
-    tmp = np.zeros((rows, cols), dtype=bool)
-    reached[source[0], source[1]] = True
     field[source[0], source[1]] = 0
+    reached = 1 << (source[0] * stride + source[1] + 1)
     if max_levels is None:
         max_levels = rows * cols
     for level in range(1, max_levels + 1):
-        dilate8_into(reached, frontier, tmp)
-        frontier &= free
-        new = frontier & ~reached
-        if not new.any():
+        new = dilate8(reached, stride) & open_bits
+        new ^= new & reached
+        if not new:
             break
-        field[new] = level
+        field[unpack_rows(new, rows, stride)[:, 1 : cols + 1]] = level
         reached |= new
     return field
 

@@ -17,11 +17,11 @@ allowed, conflict-free synchronous plan guaranteed on success):
   ceiling.
 * :class:`WavefrontRouter` -- the vectorized engine: grid moves are
   unit-cost, so Dijkstra collapses to a level-synchronous BFS whose
-  frontiers are whole boolean-mask dilations over the occupancy
-  window, masked each timestep by the reservation table's pre-inflated
-  numpy planes.  One cage's plan is a handful of masked dilations (or
-  a single vectorized probe of the direct path) instead of ~10^5
-  ``site_free`` calls.  Same priority order, same separation
+  frontiers are whole-window dilations of one packed row-bitset
+  integer, masked each timestep by the reservation table's
+  pre-inflated bit planes.  One cage's plan is a handful of masked
+  dilations (or a single vectorized probe of the direct path) instead
+  of ~10^5 ``site_free`` calls.  Same priority order, same separation
   invariants, same per-cage earliest-arrival optimality.
 
 The greedy baseline in :mod:`repro.routing.greedy` shows why planning
@@ -31,13 +31,14 @@ is needed at all.
 from __future__ import annotations
 
 import heapq
+import mmap
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..array.grid import ElectrodeGrid
-from ..array.state import dilate8_into, first_pairwise_violation
+from ..array.state import first_pairwise_violation
 from ..observability import tracing
 from .astar import (
     MOVES_8,
@@ -47,6 +48,7 @@ from .astar import (
     distance_field,
     downhill_path,
 )
+from .bitrows import dilate8, pack_rows, repeat_rows, row_stride
 
 
 @dataclass
@@ -218,17 +220,20 @@ class _ReservationTable:
 
 
 class _VectorReservationTable:
-    """The reservation table as numpy space-time planes.
+    """The reservation table as bit-packed space-time planes.
 
     Same semantics as :class:`_ReservationTable` -- pre-inflated
     transient windows per timestep plus a parked-from table -- but the
-    per-timestep blocked sets are bool planes of a single
-    ``(horizon + 2, rows, cols)`` array and ``parked_from`` an int
-    grid, both padded by the inflation radius so window scatters and
-    frontier slices never need bounds clipping.  ``reserve_path``
-    writes a whole path's windows as (2s-1)^2 vectorized scatters, and
-    the wavefront ANDs whole blocked planes into each frontier instead
-    of probing ``site_free`` per node.
+    per-timestep blocked sets are bit planes of a single ``uint8``
+    ``(horizon + 2, rows + 2r, stride // 8)`` array (the
+    :mod:`~repro.routing.bitrows` layout: little bit order, column ``c``
+    at bit ``c + r``) and ``parked_from`` an int grid, both padded by
+    the inflation radius ``r`` so window scatters and band reads never
+    need bounds clipping.  ``reserve_path`` writes a whole path's
+    windows with one vectorized scatter per byte a window row spans,
+    and the wavefront reads a window's row band at time ``t`` as one
+    contiguous byte slice (:meth:`band`) instead of probing
+    ``site_free`` per node.
 
     Edge (swap) conflicts are not tracked: with ``separation >= 2`` a
     swap is unreachable, because any site adjacent to a reserved
@@ -247,30 +252,48 @@ class _VectorReservationTable:
         self.rows, self.cols = shape
         self.horizon = horizon
         pad = 2 * self.radius
-        self.blocked = np.zeros(
-            (horizon + 2, self.rows + pad, self.cols + pad), dtype=bool
-        )
+        self.stride = row_stride(self.cols, self.radius)
+        shape = (horizon + 2, self.rows + pad, self.stride // 8)
+        # An anonymous mapping rather than a heap buffer: pages stay
+        # zero and non-resident until a reservation writes them, and
+        # dropping the table unmaps them.  (Freeing a multi-MB malloc'd
+        # buffer raises glibc's dynamic mmap threshold, after which the
+        # process keeps later multi-MB arrays on its heap: ~20 MB more
+        # peak RSS over a few 320x320 isolation assays.)  Numpy scatters
+        # and gathers go through ``blocked``; scalar probes index
+        # ``data``, the same bytes, as plain Python ints.
+        self.data = mmap.mmap(-1, shape[0] * shape[1] * shape[2])
+        self.blocked = np.frombuffer(self.data, dtype=np.uint8).reshape(shape)
         self.parked_from = np.full(
             (self.rows + pad, self.cols + pad), self._NEVER, dtype=np.int64
         )
         self._latest_parked = 0
-        radius = self.radius
-        self._offsets = [
-            (dr, dc)
-            for dr in range(-radius, radius + 1)
-            for dc in range(-radius, radius + 1)
-        ]
+        # A window row is a run of 2r + 1 bits starting at the site's
+        # grid column (its padded column minus r); shifted by up to 7
+        # bits it spans this many bytes of a packed row.
+        self._run = (1 << (2 * self.radius + 1)) - 1
+        self._run_bytes = (2 * self.radius + 1 + 7 + 7) // 8
+        row_bytes = self.stride // 8
+        self._window_rows = np.arange(2 * self.radius + 1) * row_bytes
 
     def reserve_path(self, cage_id, path):
         arr = np.asarray(path, dtype=np.int64).reshape(-1, 2)
         from_t = len(arr) - 1
         radius = self.radius
         if from_t > 0:
-            t_index = np.arange(from_t)
-            rows = arr[:from_t, 0] + radius
-            cols = arr[:from_t, 1] + radius
-            for dr, dc in self._offsets:
-                self.blocked[t_index, rows + dr, cols + dc] = True
+            # One scatter per byte of the window run, over every
+            # (t, window row) of the path at once: t differs along the
+            # path, so no index repeats within a scatter.  A run that
+            # fits in fewer bytes ORs zero into the next byte, which
+            # always exists (plane horizon + 1 is never written).
+            __, plane_rows, row_bytes = self.blocked.shape
+            byte, shift = np.divmod(arr[:from_t, 1], 8)
+            top = np.arange(from_t) * plane_rows + arr[:from_t, 0]
+            index = (top * row_bytes + byte)[:, None] + self._window_rows
+            bits = (self._run << shift)[:, None]
+            flat = self.blocked.reshape(-1)
+            for k in range(self._run_bytes):
+                flat[index + k] |= ((bits >> (8 * k)) & 0xFF).astype(np.uint8)
         goal_r = int(arr[-1, 0]) + radius
         goal_c = int(arr[-1, 1]) + radius
         window = self.parked_from[
@@ -280,6 +303,20 @@ class _VectorReservationTable:
         np.minimum(window, from_t, out=window)
         self._latest_parked = max(self._latest_parked, from_t)
 
+    def blocked_bits(self, t, rows, cols):
+        """Transient-blocked flags (0/1) of plane(s) ``t`` at *padded*
+        ``(rows, cols)``; numpy index arrays broadcast as in a gather."""
+        byte, shift = np.divmod(cols, 8)
+        return (self.blocked[t, rows, byte] >> shift) & 1
+
+    def band(self, t, row0, row1):
+        """Blocked plane ``t`` over grid rows ``row0..row1`` as a band
+        integer (:mod:`~repro.routing.bitrows` layout)."""
+        radius = self.radius
+        return int.from_bytes(
+            self.blocked[t, row0 + radius : row1 + radius + 1], "little"
+        )
+
     def site_free(self, site, t) -> bool:
         """Scalar probe (parity with the reference table, for tests)."""
         row = site[0] + self.radius
@@ -287,7 +324,7 @@ class _VectorReservationTable:
         if self.parked_from[row, col] <= t:
             return False
         if t < self.blocked.shape[0]:
-            return not self.blocked[t, row, col]
+            return not self.blocked_bits(t, row, col)
         return True
 
     def edge_free(self, a, b, t) -> bool:
@@ -562,11 +599,12 @@ class WavefrontRouter(BatchRouter):
 
     Plans in the same prioritised order as :class:`BatchRouter`, but
     each cage's space-time search is a level-synchronous BFS: the set
-    of sites reachable at time ``t`` is one boolean mask, and the step
-    to ``t + 1`` is an 8-neighbour dilation ANDed with the static free
-    mask and the reservation table's time-``t+1`` blocked plane.  Grid
-    moves are unit cost, so this finds the same earliest arrival the
-    A* reference does, in O(frontier-levels) whole-window numpy ops
+    of sites reachable at time ``t`` is one row-bitset integer
+    (:mod:`~repro.routing.bitrows`), and the step to ``t + 1`` is a
+    shift-based 8-neighbour dilation ANDed with the static free mask
+    and the reservation table's time-``t+1`` blocked band.  Grid moves
+    are unit cost, so this finds the same earliest arrival the A*
+    reference does, in O(frontier-levels) whole-window integer ops
     instead of O(nodes) heap expansions.
 
     Two short-cuts keep typical batches far off the mask path:
@@ -591,18 +629,25 @@ class WavefrontRouter(BatchRouter):
     def __post_init__(self):
         super().__post_init__()
         self._field_cache = {}
-        self._wave_buf = None
-        self._scratch_buf = None
+        self._free_rows = None
 
     def _make_table(self, horizon):
         if self.min_separation < 2:
             return super()._make_table(horizon)
         self._field_cache = {}
-        return _VectorReservationTable(
+        table = _VectorReservationTable(
             self.min_separation,
             (self.grid.rows, self.grid.cols),
             horizon,
         )
+        # the static free mask in the table's packed-row layout, read
+        # per wavefront call as one band integer
+        self._free_rows = (
+            pack_rows(~self._blocked_arr, table.radius, table.stride)
+            if self._blocked_arr is not None
+            else None
+        )
+        return table
 
     def _route_one(self, request, table, horizon):
         if isinstance(table, _ReservationTable):
@@ -621,7 +666,9 @@ class WavefrontRouter(BatchRouter):
         # through the settle time (the A* reference's arrival_ok),
         # which for transient blocks means "after the last one".
         upto = min(settle, table.blocked.shape[0] - 1)
-        transients = np.nonzero(table.blocked[: upto + 1, goal_r, goal_c])[0]
+        transients = np.nonzero(
+            table.blocked_bits(slice(0, upto + 1), goal_r, goal_c)
+        )[0]
         min_arrival = int(transients[-1]) + 1 if transients.size else 0
         path = self._direct_path(start, goal, min_arrival, table, horizon)
         if path is not None:
@@ -707,7 +754,7 @@ class WavefrontRouter(BatchRouter):
         cols = col_seq[1:] + radius
         if (table.parked_from[rows, cols] <= t_seq).any():
             return None
-        if table.blocked[t_seq, rows, cols].any():
+        if table.blocked_bits(t_seq, rows, cols).any():
             return None
         return np.column_stack([row_seq, col_seq]).astype(np.int32)
 
@@ -738,7 +785,8 @@ class WavefrontRouter(BatchRouter):
             return None
         radius = table.radius
         parked = table.parked_from
-        blocked = table.blocked
+        data = table.data
+        __, plane_rows, row_bytes = table.blocked.shape
         blocked_flat = self._blocked_flat
         cols = self.grid.cols
         rows = self.grid.rows
@@ -747,6 +795,7 @@ class WavefrontRouter(BatchRouter):
         for t in range(1, bound + 1):
             slack = bound - t
             best = None
+            plane = t * plane_rows
             for dr, dc in ((0, 0),) + MOVES_8:
                 nr, nc = site[0] + dr, site[1] + dc
                 if not (0 <= nr < rows and 0 <= nc < cols):
@@ -765,7 +814,9 @@ class WavefrontRouter(BatchRouter):
                     continue
                 if parked[nr + radius, nc + radius] <= t:
                     continue
-                if blocked[t, nr + radius, nc + radius]:
+                pc = nc + radius
+                byte = (plane + nr + radius) * row_bytes + (pc >> 3)
+                if data[byte] >> (pc & 7) & 1:
                     continue
                 if best is None or remaining < best[0]:
                     best = (remaining, nr, nc)
@@ -777,20 +828,17 @@ class WavefrontRouter(BatchRouter):
 
     # -- wavefront ---------------------------------------------------------
 
-    def _stack_for(self, levels, height, width):
-        need = levels * height * width
-        if self._wave_buf is None or self._wave_buf.size < need:
-            self._wave_buf = np.empty(max(need, 1), dtype=bool)
-        return self._wave_buf[:need].reshape(levels, height, width)
-
-    def _scratch_for(self, height, width):
-        need = height * width
-        if self._scratch_buf is None or self._scratch_buf.size < need:
-            self._scratch_buf = np.empty(max(need, 1), dtype=bool)
-        return self._scratch_buf[:need].reshape(height, width)
-
     def _wavefront(self, start, goal, min_arrival, table, horizon, bounds):
         """Level-synchronous masked BFS inside ``bounds``.
+
+        Each level is one band integer in the reservation table's
+        packed-row layout (:mod:`~repro.routing.bitrows`): grid rows
+        ``row0..row1`` at the table's full padded row width, column
+        ``c`` of band row ``i`` at bit ``i * stride + c + radius``.
+        The step to ``t`` is a shift-based 8-dilation ANDed with the
+        open mask (window, static free sites, parked-from > ``t``) and
+        the complement of the table's time-``t`` blocked band -- about
+        a dozen big-integer operations per level.
 
         Returns ``(status, path)``: ``("found", path)`` on success, or
         ``(status, None)`` where ``"grow"`` means the reached set was
@@ -800,82 +848,95 @@ class WavefrontRouter(BatchRouter):
         so no amount of widening changes the evolution.
         """
         row0, row1, col0, col1 = bounds
-        height, width = row1 - row0 + 1, col1 - col0 + 1
+        height = row1 - row0 + 1
         radius = table.radius
-        window = (slice(row0, row1 + 1), slice(col0, col1 + 1))
-        padded = (
-            slice(row0 + radius, row1 + 1 + radius),
-            slice(col0 + radius, col1 + 1 + radius),
+        stride = table.stride
+        window_row = ((1 << (col1 - col0 + 1)) - 1) << (col0 + radius)
+        static = repeat_rows(window_row, height, stride)
+        border = (
+            window_row
+            | window_row << ((height - 1) * stride)
+            | repeat_rows(
+                1 << (col0 + radius) | 1 << (col1 + radius), height, stride
+            )
         )
-        free = np.ones((height, width), dtype=bool)
-        if self._blocked_arr is not None:
-            np.logical_not(self._blocked_arr[window], out=free)
-        start_local = (start[0] - row0, start[1] - col0)
-        goal_local = (goal[0] - row0, goal[1] - col0)
+        if self._free_rows is not None:
+            static &= int.from_bytes(self._free_rows[row0 : row1 + 1], "little")
         # a cage may keep sitting on (or leave) an electrode that died
         # under it; only *entering* dead sites is forbidden
-        free[start_local] = True
-        parked = table.parked_from[padded]
-        stack = self._stack_for(horizon + 1, height, width)
-        scratch = self._scratch_for(height, width)
-        current = stack[0]
-        current[:] = False
-        current[start_local] = True
+        current = 1 << ((start[0] - row0) * stride + start[1] + radius)
+        static |= current
+        goal_bit = 1 << ((goal[0] - row0) * stride + goal[1] + radius)
+        # Parked windows only ever close: the open mask changes at the
+        # band's distinct parked_from times, re-packed when t reaches one.
+        parked = table.parked_from[row0 + radius : row1 + radius + 1]
+        park_times = np.unique(parked[parked <= horizon]).tolist()
+        park_times.append(horizon + 1)
+        next_park = 0
+        open_bits = static
         settle = table.latest_parked_time()
-        counters = self._counters
+        levels = [current]
         arrived = -1
         touched_border = False
+        status = "grow"
         for t in range(1, horizon + 1):
-            frontier = stack[t]
-            dilate8_into(current, frontier, scratch)
-            frontier &= free
-            np.greater(parked, t, out=scratch)
-            frontier &= scratch
-            np.logical_not(table.blocked[t][padded], out=scratch)
-            frontier &= scratch
-            counters["frontier_steps"] += 1
-            if t >= min_arrival and frontier[goal_local]:
+            if park_times[next_park] <= t:
+                while park_times[next_park] <= t:
+                    next_park += 1
+                # ``parked`` is already padded: its column 0 is bit 0
+                closed = pack_rows(parked <= t, 0, stride)
+                open_bits = static ^ (static & int.from_bytes(closed, "little"))
+            frontier = dilate8(current, stride) & open_bits
+            # x ^ (x & b) clears b's bits without the negative ~b
+            frontier ^= frontier & table.band(t, row0, row1)
+            levels.append(frontier)
+            if t >= min_arrival and frontier & goal_bit:
                 arrived = t
                 break
-            touched_border = touched_border or bool(
-                frontier[0].any() or frontier[-1].any()
-                or frontier[:, 0].any() or frontier[:, -1].any()
-            )
-            if not frontier.any():
+            touched_border = touched_border or bool(frontier & border)
+            if not frontier:
                 # the reached set died out entirely; unless it was ever
                 # clipped by the window, widening cannot revive it
-                return ("grow" if touched_border else "dead"), None
-            if t > settle and np.array_equal(frontier, current):
+                status = "grow" if touched_border else "dead"
+                break
+            if t > settle and frontier == current:
                 # static world from here on and the reached set is a
                 # fixpoint that excludes the goal: genuinely stuck --
                 # and provably so in any window if it never touched
                 # this window's border
-                return ("grow" if touched_border else "dead"), None
+                status = "grow" if touched_border else "dead"
+                break
             current = frontier
+        self._counters["frontier_steps"] += len(levels) - 1
         if arrived < 0:
-            return "grow", None
-        # Backtrack through the stored frontiers: at each step pick the
+            return status, None
+        # Backtrack through the stored levels: at each step pick the
         # predecessor closest to the start (ties prefer waiting, then
         # MOVES_8 order), which yields a direct, low-move path with the
-        # same arrival time the A* reference finds.
+        # same arrival time the A* reference finds.  The 3x3
+        # neighbourhood is three 3-bit slices of the previous level.
         path = np.empty((arrived + 1, 2), dtype=np.int32)
         path[arrived] = (goal[0], goal[1])
-        row, col = goal_local
+        row, col = goal[0] - row0, goal[1] + radius  # band row, bit column
         for t in range(arrived, 0, -1):
-            previous = stack[t - 1]
+            previous = levels[t - 1]
+            base = row * stride + col - 1
+            neighbourhood = (
+                previous >> (base - stride) & 7 if row else 0,
+                previous >> base & 7,
+                previous >> (base + stride) & 7,
+            )
             best = None
             best_distance = None
             for dr, dc in (WAIT,) + MOVES_8:
-                prow, pcol = row + dr, col + dc
-                if not (0 <= prow < height and 0 <= pcol < width):
-                    continue
-                if not previous[prow, pcol]:
+                if not neighbourhood[dr + 1] >> (dc + 1) & 1:
                     continue
                 d = max(
-                    abs(prow + row0 - start[0]), abs(pcol + col0 - start[1])
+                    abs(row + dr + row0 - start[0]),
+                    abs(col + dc - radius - start[1]),
                 )
                 if best is None or d < best_distance:
-                    best, best_distance = (prow, pcol), d
+                    best, best_distance = (row + dr, col + dc), d
             row, col = best
-            path[t - 1] = (row + row0, col + col0)
+            path[t - 1] = (row + row0, col - radius)
         return "found", path
