@@ -20,7 +20,7 @@ from repro.array import CageManager, ElectrodeGrid
 from repro.designflow import BuildTestFlow, DesignProblem, FlowStatistics, fluidic_fidelity, run_flow_monte_carlo
 from repro.packaging import dry_film_iteration
 from repro.physics.constants import um
-from repro.routing import BatchRouter
+from repro.routing import WavefrontRouter
 from repro.routing.astar import chebyshev_heuristic
 from repro.sensing.averaging import averaging_budget
 from repro.workloads import random_permutation_workload
@@ -38,7 +38,7 @@ def test_a1_separation_rule(benchmark):
             requests = random_permutation_workload(
                 grid, n_cages=12, separation=separation, seed=0
             )
-            plan = BatchRouter(grid, min_separation=separation).plan(requests)
+            plan = WavefrontRouter(grid, min_separation=separation).plan(requests)
             rows.append((separation, capacity, plan.makespan, plan.total_moves()))
         return rows
 
@@ -127,12 +127,14 @@ def test_a4_router_priority(benchmark):
         results = []
         for seed in (0, 1, 2, 3):
             requests = random_permutation_workload(grid, n_cages=14, seed=seed)
-            longest = BatchRouter(grid).plan(requests)
+            longest = WavefrontRouter(grid).plan(requests)
 
             def shortest_first(req):
                 return chebyshev_heuristic(req.start, req.goal)
 
-            shortest = BatchRouter(grid).plan(requests, priority=shortest_first)
+            shortest = WavefrontRouter(grid).plan(
+                requests, priority=shortest_first
+            )
             results.append((seed, longest.makespan, shortest.makespan))
         return results
 

@@ -8,7 +8,8 @@ scales up to the full 320x320 paper grid (~10k cages):
 
 * frame-step throughput [frames/s] -- every cage shuttles one electrode
   east/west, the all-movers worst case -- through
-  :class:`~repro.array.legacy.LegacyCageManager` (before) and the
+  ``LegacyCageManager`` (before; the test oracle in
+  ``tests/array_oracles.py``) and the
   :class:`~repro.array.state.ArrayState`-backed
   :class:`~repro.array.cages.CageManager` (after);
 * array-scan throughput [scans/s] -- per-cage scalar readout (before)
@@ -30,9 +31,10 @@ from conftest import report
 
 from repro import Biochip
 from repro.analysis import ascii_table
-from repro.array import CageManager, ElectrodeGrid, LegacyCageManager
+from repro.array import CageManager, ElectrodeGrid
 from repro.bio import mammalian_cell
 from repro.physics.constants import um
+from array_oracles import LegacyCageManager
 
 # REPRO_BENCH_SMOKE=1 (the CI smoke job) shrinks the run to "does the
 # script work" scale and drops the perf-bar asserts: CI fails on a

@@ -9,7 +9,16 @@ have (who wins, by roughly what factor), per the reproduction contract.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The reference implementations (the space-time A* router, the dict
+# cage core) live in tests/ as oracles; the before/after benchmarks
+# import them from there.  Appended, not prepended, so ``conftest``
+# still resolves to this file.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
 
 
 def pytest_addoption(parser):

@@ -17,9 +17,9 @@ Since the vectorization refactor the geometry bookkeeping lives in a
 grids): a frame step validates only the movers' dirty neighbourhoods
 with gather-indexed array ops, so stepping K cages out of the paper's
 tens of thousands costs O(K), not O(population).  The original dict
-implementation survives as
-:class:`~repro.array.legacy.LegacyCageManager` for the equivalence
-suite and the before/after benchmark.
+implementation survives as a test oracle (``LegacyCageManager`` in
+``tests/array_oracles.py``) for the equivalence suite and the
+before/after benchmark.
 """
 
 from __future__ import annotations

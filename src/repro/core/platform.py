@@ -65,7 +65,8 @@ class Biochip:
     chamber:
         Microchamber above the array (sets lid height).
     min_separation:
-        Cage spacing rule in electrodes.
+        Cage spacing rule in electrodes (>= 2: the batch router
+        assumes every cage has its own ring of electrodes).
     cage_speed:
         Achieved manipulation speed [m/s]; the physics layer can verify
         it against the cage's max drag speed (:meth:`verify_speed`).
@@ -91,6 +92,11 @@ class Biochip:
                 f"drive voltage {self.drive_voltage} V exceeds node "
                 f"{self.node.name} capability {self.node.max_drive_voltage} V"
             )
+        if self.min_separation < 2:
+            raise ValueError(
+                f"min_separation must be >= 2 (each cage needs its own "
+                f"electrode ring), got {self.min_separation}"
+            )
         if self.chamber is None:
             self.chamber = chamber_for_grid(self.grid, height=um(100.0))
         self.cages = CageManager(self.grid, self.min_separation)
@@ -115,7 +121,6 @@ class Biochip:
             "fast_path_hits": 0,
             "greedy_walk_hits": 0,
             "frontier_steps": 0,
-            "expansions": 0,
             "replans": 0,
         }
 
@@ -541,7 +546,7 @@ class Biochip:
         totals["cages_planned"] += plan.stats.get("cages", 0)
         totals["plan_seconds"] += plan.stats.get("plan_seconds", 0.0)
         for key in ("fast_path_hits", "greedy_walk_hits", "frontier_steps",
-                    "expansions", "replans"):
+                    "replans"):
             totals[key] += plan.stats.get(key, 0)
         previous_frame = self.cages.frame()
         program_time = 0.0

@@ -7,30 +7,26 @@ domain-specific constraint: cage *centres* must stay ``min_separation``
 electrodes apart at every intermediate frame, or the field minima merge
 and particles are lost.
 
-Two planners share the prioritised-planning scheme (each cage planned
-in priority order against a space-time reservation table, waits
-allowed, conflict-free synchronous plan guaranteed on success):
-
-* :class:`BatchRouter` -- the reference: per-cage space-time A* with a
-  per-node Python heap.  Exact, but at the paper's scale (>10^4 cages
-  on a 320x320 array) the per-node expansions are the frame-rate
-  ceiling.
-* :class:`WavefrontRouter` -- the vectorized engine: grid moves are
-  unit-cost, so Dijkstra collapses to a level-synchronous BFS whose
-  frontiers are whole-window dilations of one packed row-bitset
-  integer, masked each timestep by the reservation table's
+* :class:`BatchRouter` -- the prioritised-planning harness: each cage
+  is planned in priority order against a space-time reservation table
+  (waits allowed), trapped cages are promoted and the batch replanned,
+  and a conflict-free synchronous plan is guaranteed on success.  It
+  validates requests, keeps the planner stats and owns the
+  ``routing.plan`` span; subclasses supply the per-cage search.
+* :class:`WavefrontRouter` -- the planner: grid moves are unit-cost,
+  so per-cage earliest-arrival search collapses to a level-synchronous
+  BFS whose frontiers are whole-window dilations of one packed
+  row-bitset integer, masked each timestep by the reservation table's
   pre-inflated bit planes.  One cage's plan is a handful of masked
-  dilations (or a single vectorized probe of the direct path) instead
-  of ~10^5 ``site_free`` calls.  Same priority order, same separation
-  invariants, same per-cage earliest-arrival optimality.
+  dilations (or a single vectorized probe of the direct path).
 
-The greedy baseline in :mod:`repro.routing.greedy` shows why planning
-is needed at all.
+The per-node space-time A* this planner replaced survives as a test
+oracle (``tests/routing_oracles.py``).  The greedy baseline in
+:mod:`repro.routing.greedy` shows why planning is needed at all.
 """
 
 from __future__ import annotations
 
-import heapq
 import mmap
 import time
 from dataclasses import dataclass, field
@@ -74,11 +70,12 @@ class BatchPlan:
     lists view on demand.
 
     ``stats`` carries planner observability: planner name, cage count,
-    makespan, per-node expansions (A*) or frontier dilations and
-    direct-path hits (wavefront), and wall-clock planning seconds.
+    makespan, replans, the planner's own counters (for the wavefront:
+    direct-path and greedy-walk hits and frontier dilations), and
+    wall-clock planning seconds.
     """
 
-    def __init__(self, paths=None, makespan=0, expansions=0, *,
+    def __init__(self, paths=None, makespan=0, *,
                  cage_ids=None, sites=None, stats=None):
         if sites is None:
             paths = {} if paths is None else paths
@@ -96,7 +93,6 @@ class BatchPlan:
         self._moving = (self._deltas != 0).any(axis=2)
         self._paths = None
         self.makespan = makespan
-        self.expansions = expansions
         self.stats = stats if stats is not None else {}
 
     @property
@@ -146,85 +142,16 @@ class BatchPlan:
         return int(np.count_nonzero(self._moving))
 
 
-class _ReservationTable:
-    """Space-time occupancy with separation semantics (reference).
+class _VectorReservationTable:
+    """Space-time occupancy with separation semantics, as bit planes.
 
     A candidate site conflicts when it comes within ``separation``
-    (Chebyshev) of any reserved site at the same step, or crosses
-    another cage's edge in the swap sense.  Reservations are kept
-    *pre-inflated* -- a per-timestep set of blocked flat indices for
-    transient path sites, plus one ``parked_from`` table holding the
-    earliest time each site becomes permanently blocked by a parked
-    cage -- so ``site_free`` is two O(1) lookups instead of a scan
-    over every reserved and parked site (which is O(population) when a
-    whole-array batch plans its stationary cages as zero-length jobs).
-    Flat Python structures, not numpy: the space-time A* probes
-    ``site_free`` millions of times and a list/set lookup is several
-    times faster than a numpy scalar read, while the (2s-1)^2 window
-    writes are too small for vectorization to pay.
-    """
-
-    _NEVER = 1 << 30
-
-    def __init__(self, separation, shape):
-        self.separation = separation
-        self._rows, self._cols = shape
-        self._blocked = {}  # t -> set[flat site index], inflated
-        self._parked_from = [self._NEVER] * (self._rows * self._cols)
-        self._edges = {}  # t -> set[(from, to)]
-        self._latest_parked = 0
-
-    def _window_indices(self, site):
-        radius = self.separation - 1
-        row0 = max(0, site[0] - radius)
-        row1 = min(self._rows - 1, site[0] + radius)
-        col0 = max(0, site[1] - radius)
-        col1 = min(self._cols - 1, site[1] + radius)
-        for row in range(row0, row1 + 1):
-            base = row * self._cols
-            for col in range(col0, col1 + 1):
-                yield base + col
-
-    def reserve_path(self, cage_id, path):
-        path = [tuple(site) for site in np.asarray(path).reshape(-1, 2)]
-        from_t = len(path) - 1
-        # Transient sites: everything but the last.  (The last site's
-        # window is covered for all t >= from_t by the parked table, so
-        # a blocked entry there would be redundant -- and stationary
-        # cages, planned as zero-length paths, skip this loop entirely.)
-        for t in range(from_t):
-            self._blocked.setdefault(t, set()).update(
-                self._window_indices(path[t])
-            )
-        for t, (a, b) in enumerate(zip(path, path[1:])):
-            self._edges.setdefault(t, set()).add((a, b))
-        parked = self._parked_from
-        for index in self._window_indices(path[-1]):
-            if from_t < parked[index]:
-                parked[index] = from_t
-        self._latest_parked = max(self._latest_parked, from_t)
-
-    def site_free(self, site, t) -> bool:
-        index = site[0] * self._cols + site[1]
-        if self._parked_from[index] <= t:
-            return False
-        blocked = self._blocked.get(t)
-        return blocked is None or index not in blocked
-
-    def edge_free(self, a, b, t) -> bool:
-        """Reject swap/through conflicts: nobody may traverse b->a at t."""
-        return (b, a) not in self._edges.get(t, set())
-
-    def latest_parked_time(self) -> int:
-        return self._latest_parked
-
-
-class _VectorReservationTable:
-    """The reservation table as bit-packed space-time planes.
-
-    Same semantics as :class:`_ReservationTable` -- pre-inflated
-    transient windows per timestep plus a parked-from table -- but the
-    per-timestep blocked sets are bit planes of a single ``uint8``
+    (Chebyshev) of any reserved site at the same step.  Reservations
+    are kept *pre-inflated* -- transient path windows per timestep,
+    plus a parked-from table holding the earliest time each site
+    becomes permanently blocked by a parked cage -- so a probe never
+    scans the reserved population.  The per-timestep blocked sets are
+    bit planes of a single ``uint8``
     ``(horizon + 2, rows + 2r, stride // 8)`` array (the
     :mod:`~repro.routing.bitrows` layout: little bit order, column ``c``
     at bit ``c + r``) and ``parked_from`` an int grid, both padded by
@@ -238,15 +165,12 @@ class _VectorReservationTable:
     Edge (swap) conflicts are not tracked: with ``separation >= 2`` a
     swap is unreachable, because any site adjacent to a reserved
     cage's position is already inside its inflated window at that
-    timestep.  (Separation 1 falls back to the A* reference, which
-    tracks edges.)
+    timestep.  :class:`WavefrontRouter` refuses smaller separations.
     """
 
     _NEVER = 1 << 30
 
     def __init__(self, separation, shape, horizon):
-        if separation < 2:
-            raise ValueError("vector reservation table needs separation >= 2")
         self.separation = separation
         self.radius = separation - 1
         self.rows, self.cols = shape
@@ -318,7 +242,7 @@ class _VectorReservationTable:
         )
 
     def site_free(self, site, t) -> bool:
-        """Scalar probe (parity with the reference table, for tests)."""
+        """Scalar probe (tests pin it to the oracle reference table)."""
         row = site[0] + self.radius
         col = site[1] + self.radius
         if self.parked_from[row, col] <= t:
@@ -327,23 +251,23 @@ class _VectorReservationTable:
             return not self.blocked_bits(t, row, col)
         return True
 
-    def edge_free(self, a, b, t) -> bool:
-        """Always free: swaps are unreachable at separation >= 2 (any
-        site adjacent to a reserved position is inside its inflated
-        window), so the table does not track edges.  Kept so the A*
-        reference can probe a vector table for equivalence checks."""
-        return True
-
     def latest_parked_time(self) -> int:
         return self._latest_parked
 
 
 @dataclass
 class BatchRouter:
-    """Prioritised space-time router for simultaneous cage motion.
+    """Prioritised space-time planning harness for simultaneous cage motion.
 
-    This is the per-node A* *reference* implementation; see
-    :class:`WavefrontRouter` for the vectorized engine used at scale.
+    Validates the batch, orders it by priority, plans each cage against
+    a shared reservation table, promotes trapped cages and replans, and
+    reports the plan's stats.  A subclass supplies the search: a
+    ``planner_name``, the names of the counters it keeps in
+    ``self._counters`` (``counter_names``), ``_make_table(horizon)``
+    returning a fresh reservation table (``reserve_path`` and
+    ``latest_parked_time``), and ``_route_one(request, table, horizon)``
+    returning one cage's path or raising :class:`RoutingError`.
+    :class:`WavefrontRouter` is the package's planner.
 
     Parameters
     ----------
@@ -355,8 +279,6 @@ class BatchRouter:
     horizon_slack:
         Extra timesteps allowed beyond the lower-bound makespan before a
         cage's search is declared failed.
-    max_expansions:
-        Per-cage space-time A* expansion budget.
     blocked:
         Optional bool mask of statically forbidden cage-centre sites
         (dead electrodes).  Uninflated: only the centre is excluded.
@@ -374,11 +296,11 @@ class BatchRouter:
     grid: ElectrodeGrid
     min_separation: int = 2
     horizon_slack: int = 40
-    max_expansions: int = 400000
     blocked: object = None
     replan_attempts: int = 2
 
-    planner_name = "astar"
+    planner_name = None
+    counter_names = ()
 
     def __post_init__(self):
         self._blocked_flat = None  # built per plan() call
@@ -406,7 +328,7 @@ class BatchRouter:
         """
         # Planning is host work, not chip time: the span is wall-only
         # (no domain clock) and carries the plan's own stats --
-        # makespan, expansions, and the tier-escalation counters.
+        # makespan, replans and the planner's counters.
         with tracing.span("routing.plan") as span:
             plan = self._plan(requests, priority=priority)
             if span.recording:
@@ -421,8 +343,9 @@ class BatchRouter:
             if self.blocked is not None
             else None
         )
-        # Flat-list probe table for the static blocked mask, matching
-        # the reservation table's access idiom (see _ReservationTable).
+        # Flat-list probe table for the static blocked mask: scalar
+        # probes read a Python list several times faster than a numpy
+        # scalar.
         self._blocked_flat = (
             self._blocked_arr.ravel().tolist()
             if self._blocked_arr is not None
@@ -440,13 +363,8 @@ class BatchRouter:
             )
             + self.horizon_slack
         )
-        self._counters = {
-            "fast_path_hits": 0,
-            "greedy_walk_hits": 0,
-            "frontier_steps": 0,
-        }
+        self._counters = dict.fromkeys(self.counter_names, 0)
         started = time.perf_counter()
-        expansions_total = 0
         promoted = []  # trapped cage ids, planned first on the retry
         for attempt in range(self.replan_attempts + 1):
             table = self._make_table(horizon)
@@ -456,7 +374,7 @@ class BatchRouter:
             batch = sorted(ordered, key=lambda r: rank.get(r.cage_id, len(rank)))
             for request in batch:
                 try:
-                    path, expansions = self._route_one(request, table, horizon)
+                    path = self._route_one(request, table, horizon)
                 except RoutingError:
                     if attempt == self.replan_attempts:
                         raise
@@ -464,7 +382,6 @@ class BatchRouter:
                     # trapped by this attempt's reservations at once
                     failed.append(request.cage_id)
                     continue
-                expansions_total += expansions
                 table.reserve_path(request.cage_id, path)
                 paths[request.cage_id] = path
             if not failed:
@@ -476,22 +393,17 @@ class BatchRouter:
             "planner": self.planner_name,
             "cages": len(requests),
             "makespan": makespan,
-            "expansions": expansions_total,
             "plan_seconds": plan_seconds,
             "replans": attempt,
             **self._counters,
         }
-        return BatchPlan(
-            paths=paths,
-            makespan=makespan,
-            expansions=expansions_total,
-            stats=stats,
-        )
+        return BatchPlan(paths=paths, makespan=makespan, stats=stats)
 
     def _make_table(self, horizon):
-        return _ReservationTable(
-            self.min_separation, (self.grid.rows, self.grid.cols)
-        )
+        raise NotImplementedError
+
+    def _route_one(self, request, table, horizon):
+        raise NotImplementedError
 
     def _validate(self, requests):
         seen = set()
@@ -527,85 +439,20 @@ class BatchRouter:
                 a, b = violation
                 raise RoutingError(f"{label} {a} and {b} violate separation")
 
-    def _route_one(self, request, table, horizon):
-        """Space-time A* for one cage against the reservation table."""
-        start, goal = request.start, request.goal
-        # State: (site, t).  A cage may arrive and park only if the goal
-        # stays conflict-free afterwards; we approximate by requiring the
-        # goal to be free at arrival and at the table's latest parked
-        # time (after which nothing reserved moves any more).
-        settle_time = table.latest_parked_time()
-
-        def arrival_ok(t):
-            check = max(t, settle_time)
-            return all(table.site_free(goal, tt) for tt in range(t, check + 1))
-
-        open_heap = [(chebyshev_heuristic(start, goal), 0, start)]
-        g_best = {(start, 0): 0}
-        came_from = {}
-        expansions = 0
-        while open_heap:
-            __, t, site = heapq.heappop(open_heap)
-            if g_best.get((site, t), float("inf")) < t:
-                continue
-            if site == goal and arrival_ok(t):
-                return self._reconstruct(came_from, (site, t)), expansions
-            if t >= horizon:
-                continue
-            expansions += 1
-            if expansions > self.max_expansions:
-                raise RoutingError(
-                    f"cage {request.cage_id}: space-time search budget exhausted"
-                )
-            blocked_flat = self._blocked_flat
-            for dr, dc in MOVES_8 + (WAIT,):
-                nxt = (site[0] + dr, site[1] + dc)
-                if not self.grid.in_bounds(*nxt):
-                    continue
-                if (blocked_flat is not None
-                        and blocked_flat[nxt[0] * self.grid.cols + nxt[1]]
-                        and nxt != start):
-                    # dead electrode: no cage centre may enter (waiting
-                    # on a blocked *start* stays legal -- the cage must
-                    # be able to leave a site that died under it)
-                    continue
-                nt = t + 1
-                if not table.site_free(nxt, nt):
-                    continue
-                if not table.edge_free(site, nxt, t):
-                    continue
-                if nt < g_best.get((nxt, nt), float("inf")):
-                    g_best[(nxt, nt)] = nt
-                    came_from[(nxt, nt)] = (site, t)
-                    priority = nt + chebyshev_heuristic(nxt, goal)
-                    heapq.heappush(open_heap, (priority, nt, nxt))
-        raise RoutingError(
-            f"cage {request.cage_id}: no conflict-free route within horizon {horizon}"
-        )
-
-    @staticmethod
-    def _reconstruct(came_from, state):
-        path = [state[0]]
-        while state in came_from:
-            state = came_from[state]
-            path.append(state[0])
-        path.reverse()
-        return path
-
 
 @dataclass
 class WavefrontRouter(BatchRouter):
     """Vectorized wavefront batch router.
 
-    Plans in the same prioritised order as :class:`BatchRouter`, but
-    each cage's space-time search is a level-synchronous BFS: the set
+    Plans in the :class:`BatchRouter` harness's prioritised order; each
+    cage's space-time search is a level-synchronous BFS: the set
     of sites reachable at time ``t`` is one row-bitset integer
     (:mod:`~repro.routing.bitrows`), and the step to ``t + 1`` is a
     shift-based 8-neighbour dilation ANDed with the static free mask
     and the reservation table's time-``t+1`` blocked band.  Grid moves
-    are unit cost, so this finds the same earliest arrival the A*
-    reference does, in O(frontier-levels) whole-window integer ops
-    instead of O(nodes) heap expansions.
+    are unit cost, so this finds each cage's earliest arrival in
+    O(frontier-levels) whole-window integer ops instead of O(nodes)
+    heap expansions.
 
     Two short-cuts keep typical batches far off the mask path:
 
@@ -618,22 +465,27 @@ class WavefrontRouter(BatchRouter):
       plus ``window_margin``, growing (to the full grid if needed)
       only when congestion forces a wide detour.
 
-    Separation below 2 falls back to the A* reference wholesale (edge
-    conflicts become reachable there and the masks do not encode them).
+    ``min_separation`` must be at least 2, the platform's spacing rule:
+    below it swaps become reachable, and the reservation planes do not
+    encode edge conflicts.
     """
 
     window_margin: int = 8
 
     planner_name = "wavefront"
+    counter_names = ("fast_path_hits", "greedy_walk_hits", "frontier_steps")
 
     def __post_init__(self):
+        if self.min_separation < 2:
+            raise ValueError(
+                f"WavefrontRouter needs min_separation >= 2, "
+                f"got {self.min_separation}"
+            )
         super().__post_init__()
         self._field_cache = {}
         self._free_rows = None
 
     def _make_table(self, horizon):
-        if self.min_separation < 2:
-            return super()._make_table(horizon)
         self._field_cache = {}
         table = _VectorReservationTable(
             self.min_separation,
@@ -650,8 +502,6 @@ class WavefrontRouter(BatchRouter):
         return table
 
     def _route_one(self, request, table, horizon):
-        if isinstance(table, _ReservationTable):
-            return super()._route_one(request, table, horizon)
         start, goal = request.start, request.goal
         radius = table.radius
         settle = table.latest_parked_time()
@@ -663,8 +513,8 @@ class WavefrontRouter(BatchRouter):
                 f"horizon {horizon}"
             )
         # Earliest legal arrival: the goal must stay free from arrival
-        # through the settle time (the A* reference's arrival_ok),
-        # which for transient blocks means "after the last one".
+        # through the settle time, which for transient blocks means
+        # "after the last one".
         upto = min(settle, table.blocked.shape[0] - 1)
         transients = np.nonzero(
             table.blocked_bits(slice(0, upto + 1), goal_r, goal_c)
@@ -673,11 +523,11 @@ class WavefrontRouter(BatchRouter):
         path = self._direct_path(start, goal, min_arrival, table, horizon)
         if path is not None:
             self._counters["fast_path_hits"] += 1
-            return path, 0
+            return path
         path = self._greedy_walk(start, goal, min_arrival, table, horizon)
         if path is not None:
             self._counters["greedy_walk_hits"] += 1
-            return path, 0
+            return path
         rows, cols = self.grid.rows, self.grid.cols
         margin = self.window_margin
         while True:
@@ -690,7 +540,7 @@ class WavefrontRouter(BatchRouter):
                 (row0, row1, col0, col1),
             )
             if status == "found":
-                return path, 0
+                return path
             full = (row0, col0) == (0, 0) and (row1, col1) == (rows - 1, cols - 1)
             if status == "dead" or full:
                 raise RoutingError(
@@ -766,8 +616,8 @@ class WavefrontRouter(BatchRouter):
         cage's unconditional earliest arrival (static shortest distance
         vs goal settling time).  Because the invariant forbids losing
         ground, the walk either arrives exactly at ``bound`` -- which
-        is provably the same earliest arrival A* finds, so accepting it
-        preserves equivalence -- or gets stuck and returns None for the
+        is provably the earliest arrival the wavefront would find, so
+        accepting it preserves equivalence -- or gets stuck and returns None for the
         exact wavefront to take over.  Costs ~30 scalar probes per step
         versus a whole-window mask op per wavefront level, and dodges
         the single crossing tube that defeats the straight-line probe.
@@ -913,7 +763,7 @@ class WavefrontRouter(BatchRouter):
         # Backtrack through the stored levels: at each step pick the
         # predecessor closest to the start (ties prefer waiting, then
         # MOVES_8 order), which yields a direct, low-move path with the
-        # same arrival time the A* reference finds.  The 3x3
+        # earliest arrival time.  The 3x3
         # neighbourhood is three 3-bit slices of the previous level.
         path = np.empty((arrived + 1, 2), dtype=np.int32)
         path[arrived] = (goal[0], goal[1])

@@ -165,7 +165,6 @@ class Telemetry:
             "fast_path_hits": 0,
             "greedy_walk_hits": 0,
             "frontier_steps": 0,
-            "expansions": 0,
             "replans": 0,
         }
     )

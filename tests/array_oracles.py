@@ -1,28 +1,25 @@
-"""The pre-vectorization dict-based cage manager, kept as a reference.
+"""Behavioural reference for the array core.
 
-This is the original :class:`CageManager` implementation (per-site
-Python dicts, ``(2s-1)^2`` dict probes per cage per frame, full
-post-state rebuild on every step).  It is retained verbatim for two
-jobs:
+:class:`LegacyCageManager` is the original dict-based cage manager
+(per-site Python dicts, ``(2s-1)^2`` dict probes per cage per frame,
+full post-state rebuild on every step) that the vectorized
+:class:`~repro.array.cages.CageManager` replaced.  It is kept as a test
+oracle for two jobs:
 
 * the randomized equivalence suite (``tests/test_array_equivalence.py``)
   replays identical operation sequences through this class and the
-  vectorized :class:`~repro.array.cages.CageManager` and asserts
-  identical sites, errors and payloads;
+  vectorized manager and asserts identical sites, errors and payloads;
 * ``benchmarks/bench_array.py`` measures the before/after frame-step
   throughput against it.
-
-Do not use it in new code -- it is O(cages) per frame where the
-vectorized manager is O(movers).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cages import Cage, CageError
-from .grid import ElectrodeGrid
-from .patterns import ArrayFrame, cage_frame
+from repro.array.cages import Cage, CageError
+from repro.array.grid import ElectrodeGrid
+from repro.array.patterns import ArrayFrame, cage_frame
 
 
 @dataclass

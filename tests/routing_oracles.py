@@ -1,8 +1,14 @@
 """Behavioural references for the routing kernels.
 
 These are the implementations the package replaced, kept as test
-oracles: ``tests/test_wavefront_kernel.py`` pins the package to them.
+oracles: ``tests/test_routing_equivalence.py`` and
+``tests/test_wavefront_kernel.py`` pin the package to them.
 
+* :class:`AStarRouter` -- the space-time A* batch router: the
+  :class:`~repro.routing.multi.BatchRouter` harness with a per-node
+  heapq search against :class:`_ReservationTable`, a flat-set table
+  that also tracks swap (edge) conflicts, so it runs at separation 1
+  too.  Exact, but ~1.5 s per cage on a 320x320 array.
 * :func:`oracle_wavefront` -- the wavefront level loop on numpy bool
   planes: one :func:`dilate8_into` plus a handful of whole-window mask
   ops per level, backtracking with nine scalar probes per step.  It
@@ -15,12 +21,170 @@ oracles: ``tests/test_wavefront_kernel.py`` pins the package to them.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.routing.astar import MOVES_8, WAIT
-from repro.routing.multi import WavefrontRouter
+from repro.routing.astar import MOVES_8, WAIT, RoutingError, chebyshev_heuristic
+from repro.routing.multi import BatchRouter, WavefrontRouter
+
+
+class _ReservationTable:
+    """Space-time occupancy with separation semantics (reference).
+
+    A candidate site conflicts when it comes within ``separation``
+    (Chebyshev) of any reserved site at the same step, or crosses
+    another cage's edge in the swap sense.  Reservations are kept
+    *pre-inflated* -- a per-timestep set of blocked flat indices for
+    transient path sites, plus one ``parked_from`` table holding the
+    earliest time each site becomes permanently blocked by a parked
+    cage -- so ``site_free`` is two O(1) lookups instead of a scan
+    over every reserved and parked site.  Flat Python structures, not
+    numpy: the space-time A* probes ``site_free`` millions of times
+    and a list/set lookup is several times faster than a numpy scalar
+    read.
+    """
+
+    _NEVER = 1 << 30
+
+    def __init__(self, separation, shape):
+        self.separation = separation
+        self._rows, self._cols = shape
+        self._blocked = {}  # t -> set[flat site index], inflated
+        self._parked_from = [self._NEVER] * (self._rows * self._cols)
+        self._edges = {}  # t -> set[(from, to)]
+        self._latest_parked = 0
+
+    def _window_indices(self, site):
+        radius = self.separation - 1
+        row0 = max(0, site[0] - radius)
+        row1 = min(self._rows - 1, site[0] + radius)
+        col0 = max(0, site[1] - radius)
+        col1 = min(self._cols - 1, site[1] + radius)
+        for row in range(row0, row1 + 1):
+            base = row * self._cols
+            for col in range(col0, col1 + 1):
+                yield base + col
+
+    def reserve_path(self, cage_id, path):
+        path = [tuple(site) for site in np.asarray(path).reshape(-1, 2)]
+        from_t = len(path) - 1
+        # Transient sites: everything but the last.  (The last site's
+        # window is covered for all t >= from_t by the parked table, so
+        # a blocked entry there would be redundant -- and stationary
+        # cages, planned as zero-length paths, skip this loop entirely.)
+        for t in range(from_t):
+            self._blocked.setdefault(t, set()).update(
+                self._window_indices(path[t])
+            )
+        for t, (a, b) in enumerate(zip(path, path[1:])):
+            self._edges.setdefault(t, set()).add((a, b))
+        parked = self._parked_from
+        for index in self._window_indices(path[-1]):
+            if from_t < parked[index]:
+                parked[index] = from_t
+        self._latest_parked = max(self._latest_parked, from_t)
+
+    def site_free(self, site, t) -> bool:
+        index = site[0] * self._cols + site[1]
+        if self._parked_from[index] <= t:
+            return False
+        blocked = self._blocked.get(t)
+        return blocked is None or index not in blocked
+
+    def edge_free(self, a, b, t) -> bool:
+        """Reject swap/through conflicts: nobody may traverse b->a at t."""
+        return (b, a) not in self._edges.get(t, set())
+
+    def latest_parked_time(self) -> int:
+        return self._latest_parked
+
+
+@dataclass
+class AStarRouter(BatchRouter):
+    """The prioritised planner with per-cage space-time A*.
+
+    ``max_expansions`` is the per-cage search budget; the plan's
+    ``stats["expansions"]`` counts the nodes expanded.
+    """
+
+    max_expansions: int = 400000
+
+    planner_name = "astar"
+    counter_names = ("expansions",)
+
+    def _make_table(self, horizon):
+        return _ReservationTable(
+            self.min_separation, (self.grid.rows, self.grid.cols)
+        )
+
+    def _route_one(self, request, table, horizon):
+        """Space-time A* for one cage against the reservation table."""
+        start, goal = request.start, request.goal
+        # State: (site, t).  A cage may arrive and park only if the goal
+        # stays conflict-free afterwards; we approximate by requiring the
+        # goal to be free at arrival and at the table's latest parked
+        # time (after which nothing reserved moves any more).
+        settle_time = table.latest_parked_time()
+
+        def arrival_ok(t):
+            check = max(t, settle_time)
+            return all(table.site_free(goal, tt) for tt in range(t, check + 1))
+
+        open_heap = [(chebyshev_heuristic(start, goal), 0, start)]
+        g_best = {(start, 0): 0}
+        came_from = {}
+        expansions = 0
+        while open_heap:
+            __, t, site = heapq.heappop(open_heap)
+            if g_best.get((site, t), float("inf")) < t:
+                continue
+            if site == goal and arrival_ok(t):
+                self._counters["expansions"] += expansions
+                return self._reconstruct(came_from, (site, t))
+            if t >= horizon:
+                continue
+            expansions += 1
+            if expansions > self.max_expansions:
+                raise RoutingError(
+                    f"cage {request.cage_id}: space-time search budget exhausted"
+                )
+            blocked_flat = self._blocked_flat
+            for dr, dc in MOVES_8 + (WAIT,):
+                nxt = (site[0] + dr, site[1] + dc)
+                if not self.grid.in_bounds(*nxt):
+                    continue
+                if (blocked_flat is not None
+                        and blocked_flat[nxt[0] * self.grid.cols + nxt[1]]
+                        and nxt != start):
+                    # dead electrode: no cage centre may enter (waiting
+                    # on a blocked *start* stays legal -- the cage must
+                    # be able to leave a site that died under it)
+                    continue
+                nt = t + 1
+                if not table.site_free(nxt, nt):
+                    continue
+                if not table.edge_free(site, nxt, t):
+                    continue
+                if nt < g_best.get((nxt, nt), float("inf")):
+                    g_best[(nxt, nt)] = nt
+                    came_from[(nxt, nt)] = (site, t)
+                    priority = nt + chebyshev_heuristic(nxt, goal)
+                    heapq.heappush(open_heap, (priority, nt, nxt))
+        raise RoutingError(
+            f"cage {request.cage_id}: no conflict-free route within horizon {horizon}"
+        )
+
+    @staticmethod
+    def _reconstruct(came_from, state):
+        path = [state[0]]
+        while state in came_from:
+            state = came_from[state]
+            path.append(state[0])
+        path.reverse()
+        return path
 
 
 def dilate8_into(src, out, tmp):

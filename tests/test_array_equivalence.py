@@ -1,7 +1,7 @@
 """Randomized equivalence: legacy dict core vs the ArrayState engine.
 
 Replays identical trap/step/merge/release/sense sequences through the
-pre-vectorization :class:`~repro.array.legacy.LegacyCageManager` and the
+pre-vectorization ``LegacyCageManager`` (``array_oracles``) and the
 :class:`~repro.array.state.ArrayState`-backed
 :class:`~repro.array.cages.CageManager`, asserting at every operation:
 
@@ -23,9 +23,10 @@ import numpy as np
 import pytest
 
 from repro import Biochip
-from repro.array import CageError, CageManager, ElectrodeGrid, LegacyCageManager
+from repro.array import CageError, CageManager, ElectrodeGrid
 from repro.bio import mammalian_cell, polystyrene_bead
 from repro.physics.constants import um
+from array_oracles import LegacyCageManager
 
 ERROR_CATEGORIES = (
     "swap",

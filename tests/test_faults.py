@@ -9,10 +9,14 @@ from repro.array.cages import CageManager, DeadElectrodeError
 from repro.array.grid import ElectrodeGrid
 from repro.core.backend import DryRunBackend
 from repro.routing.astar import ObstacleMap, RoutingError, astar_route
-from repro.routing.multi import BatchRouter, RoutingRequest
+from repro.routing.multi import RoutingRequest, WavefrontRouter
 from repro.sensing.quarantine import ReadingBounds, SensorQuarantine
+from routing_oracles import AStarRouter
 
 SHAPE = (32, 32)
+
+# the production batch router and the space-time A* oracle
+BATCH_ROUTERS = (WavefrontRouter, AStarRouter)
 
 
 def grid32():
@@ -209,24 +213,27 @@ class TestRoutingAroundDead:
     def test_batch_router_goal_on_dead_pixel_rejected(self):
         dead = np.zeros(SHAPE, dtype=bool)
         dead[8, 8] = True
-        router = BatchRouter(grid32(), blocked=dead)
-        with pytest.raises(RoutingError, match="dead electrode"):
-            router.plan([RoutingRequest(1, (2, 2), (8, 8))])
+        for router_cls in BATCH_ROUTERS:
+            router = router_cls(grid32(), blocked=dead)
+            with pytest.raises(RoutingError, match="dead electrode"):
+                router.plan([RoutingRequest(1, (2, 2), (8, 8))])
 
     def test_batch_router_routes_around_dead_pixels(self):
         dead = np.zeros(SHAPE, dtype=bool)
         dead[4:12, 6] = True
-        router = BatchRouter(grid32(), blocked=dead)
-        plan = router.plan([RoutingRequest(1, (8, 2), (8, 12))])
-        assert all(not dead[site] for site in plan.paths[1])
+        for router_cls in BATCH_ROUTERS:
+            router = router_cls(grid32(), blocked=dead)
+            plan = router.plan([RoutingRequest(1, (8, 2), (8, 12))])
+            assert all(not dead[site] for site in plan.paths[1])
 
     def test_cage_may_escape_a_site_that_died_under_it(self):
         dead = np.zeros(SHAPE, dtype=bool)
         dead[8, 2] = True  # the cage's own start
-        router = BatchRouter(grid32(), blocked=dead)
-        plan = router.plan([RoutingRequest(1, (8, 2), (8, 6))])
-        assert plan.paths[1][0] == (8, 2)
-        assert all(not dead[site] for site in plan.paths[1][1:])
+        for router_cls in BATCH_ROUTERS:
+            router = router_cls(grid32(), blocked=dead)
+            plan = router.plan([RoutingRequest(1, (8, 2), (8, 6))])
+            assert plan.paths[1][0] == (8, 2)
+            assert all(not dead[site] for site in plan.paths[1][1:])
 
 
 class TestSensorQuarantine:

@@ -16,7 +16,6 @@ from repro.core.compiler import compile_protocol
 from repro.designflow import electronic_scenario, fluidic_scenario
 from repro.packaging import paper_device_stack
 from repro.physics.constants import ul, um, um_per_s
-from repro.routing import BatchRouter, MotionPlanner
 from repro.technology import TechnologySelector, ApplicationRequirements
 from repro.workloads import random_permutation_workload, split_sort_workload
 
@@ -46,21 +45,32 @@ class TestPlatformPhysicsConsistency:
         assert cage.levitation_height() is not None
 
 
+def place_and_goals(chip, requests):
+    """Create a cage at every request start; return {cage_id: goal}."""
+    return {
+        chip.cages.create(request.start).cage_id: request.goal
+        for request in requests
+    }
+
+
+def electronics_fraction(report):
+    """Share of a ``move_many`` report's wall clock spent reprogramming."""
+    return report["program_time"] / (
+        report["program_time"] + report["dwell_time"]
+    )
+
+
 class TestSortingPipeline:
     """Workload -> batch router -> cage manager -> timing accounting."""
 
     def test_split_sort_executes(self):
         chip = Biochip.small_chip(rows=30, cols=30)
         requests, labels = split_sort_workload(chip.grid, n_per_class=4, seed=0)
-        for request in requests:
-            chip.cages.create(request.start)
-        plan = BatchRouter(chip.grid).plan(requests)
-        planner = MotionPlanner(chip.cages, chip.addresser, cage_speed=chip.cage_speed)
-        planner.execute(plan)
+        report = chip.move_many(place_and_goals(chip, requests))
         final_sites = {c.site for c in chip.cages.cages}
         assert final_sites == {r.goal for r in requests}
         # the paper's C2 shape at pipeline level
-        assert planner.electronics_fraction() < 1e-3
+        assert electronics_fraction(report) < 1e-3
 
     def test_sorting_wall_clock_scales_with_distance_not_cages(self):
         """Parallel manipulation: 8 cages take barely longer than 2."""
@@ -69,12 +79,8 @@ class TestSortingPipeline:
             requests = random_permutation_workload(
                 grid_chip.grid, n_cages=n_cages, seed=seed
             )
-            for request in requests:
-                grid_chip.cages.create(request.start)
-            plan = BatchRouter(grid_chip.grid).plan(requests)
-            planner = MotionPlanner(grid_chip.cages, grid_chip.addresser)
-            planner.execute(plan)
-            return planner.wall_clock()
+            report = grid_chip.move_many(place_and_goals(grid_chip, requests))
+            return report["program_time"] + report["dwell_time"]
 
         few = run(2, seed=1)
         many = run(8, seed=1)
@@ -128,22 +134,16 @@ class TestClaimsCrossCheck:
         assert best.drive_voltage >= 3.3
 
     def test_c2_timing_budget_vs_executed_motion(self):
-        """The analytic slack ratio matches the executed planner's
+        """The analytic slack ratio matches an executed batch move's
         electronics fraction within an order of magnitude."""
         chip = Biochip.small_chip(rows=30, cols=30)
         budget = TimingBudget(
             RowColumnAddresser(chip.grid), cell_speed=chip.cage_speed
         )
-        from repro.routing import RoutingRequest
-
         cage = chip.cages.create((0, 0))
-        plan = BatchRouter(chip.grid).plan(
-            [RoutingRequest(cage.cage_id, (0, 0), (20, 20))]
-        )
-        planner = MotionPlanner(chip.cages, chip.addresser, cage_speed=chip.cage_speed)
-        planner.execute(plan)
+        report = chip.move_many({cage.cage_id: (20, 20)})
         analytic = 1.0 / budget.slack_ratio()
-        executed = planner.electronics_fraction()
+        executed = electronics_fraction(report)
         assert executed < 10.0 * analytic
 
     def test_c3_averaging_fits_in_motion_budget(self):

@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.array import CageManager, ElectrodeGrid
-from repro.array.addressing import RowColumnAddresser
+from repro.array import ElectrodeGrid
 from repro.physics.constants import um
 from repro.routing import (
-    BatchRouter,
     GreedyRouter,
-    MotionPlanner,
     ObstacleMap,
     RoutingError,
     RoutingRequest,
@@ -22,6 +19,7 @@ from repro.routing import (
     path_moves,
 )
 from repro.workloads import hotspot_workload, random_permutation_workload
+from routing_oracles import AStarRouter
 
 
 def grid(n=30):
@@ -98,7 +96,7 @@ def assert_plan_valid(plan, min_separation=2):
             assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) <= 1
 
 
-@pytest.fixture(params=[BatchRouter, WavefrontRouter], ids=["astar", "wavefront"])
+@pytest.fixture(params=[AStarRouter, WavefrontRouter], ids=["astar", "wavefront"])
 def router_cls(request):
     """Both batch planners must satisfy the same behavioural contract."""
     return request.param
@@ -168,7 +166,7 @@ class TestBatchRouter:
         delivers every cage, on random 12-cage workloads."""
         g = ElectrodeGrid(24, 24, um(20))
         requests = random_permutation_workload(g, n_cages=12, seed=seed)
-        for cls in (BatchRouter, WavefrontRouter):
+        for cls in (AStarRouter, WavefrontRouter):
             plan = cls(g).plan(requests)
             assert_plan_valid(plan)
             for request in requests:
@@ -194,7 +192,7 @@ class TestGreedyRouter:
         g = ElectrodeGrid(30, 30, um(20))
         requests = hotspot_workload(g, n_cages=16, seed=1)
         __, failed = GreedyRouter(g, max_steps=200).plan(requests)
-        batch_plan = BatchRouter(g).plan(requests)
+        batch_plan = WavefrontRouter(g).plan(requests)
         assert_plan_valid(batch_plan)
         delivered = sum(
             batch_plan.paths[r.cage_id][-1] == r.goal for r in requests
@@ -202,41 +200,3 @@ class TestGreedyRouter:
         assert delivered == len(requests)
         # greedy strands at least someone on this workload
         assert len(failed) >= 1
-
-
-class TestMotionPlanner:
-    def test_execution_matches_plan(self):
-        g = ElectrodeGrid(20, 20, um(20))
-        manager = CageManager(g)
-        requests = make_requests([((0, 0), (10, 10)), ((0, 10), (10, 0))])
-        for request in requests:
-            manager.create(request.start)
-        plan = BatchRouter(g).plan(requests)
-        planner = MotionPlanner(manager, RowColumnAddresser(g))
-        steps, frames = planner.execute(plan, record_frames=True)
-        assert len(steps) == plan.makespan
-        assert len(frames) == plan.makespan + 1
-        assert sorted(c.site for c in manager.cages) == sorted(
-            r.goal for r in requests
-        )
-
-    def test_wall_clock_dominated_by_physics(self):
-        """Claim C2 at system level: reprogramming is a vanishing
-        fraction of the motion wall-clock."""
-        g = ElectrodeGrid(20, 20, um(20))
-        manager = CageManager(g)
-        requests = make_requests([((0, 0), (15, 15))])
-        manager.create(requests[0].start)
-        plan = BatchRouter(g).plan(requests)
-        planner = MotionPlanner(manager, RowColumnAddresser(g), cage_speed=50e-6)
-        planner.execute(plan)
-        assert planner.electronics_fraction() < 1e-3
-
-    def test_misaligned_start_raises(self):
-        g = ElectrodeGrid(20, 20, um(20))
-        manager = CageManager(g)
-        manager.create((5, 5))
-        plan = BatchRouter(g).plan(make_requests([((0, 0), (3, 3))]))
-        planner = MotionPlanner(manager, RowColumnAddresser(g))
-        with pytest.raises(ValueError):
-            planner.execute(plan)

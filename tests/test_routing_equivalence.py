@@ -1,7 +1,7 @@
 """Equivalence suite: wavefront engine vs the space-time A* reference.
 
-The wavefront planner (:class:`WavefrontRouter`) replaces per-cage
-heapq A* with level-synchronous boolean-mask dilations, but it must be
+The wavefront planner (:class:`WavefrontRouter`) replaced per-cage
+heapq A* (now the ``AStarRouter`` oracle in ``routing_oracles``) with level-synchronous boolean-mask dilations, but it must be
 a *drop-in* replacement: same prioritised planning order, same
 reservation semantics, same completion guarantees.  This suite pins the
 behavioural contract on randomized workloads, with and without
@@ -21,10 +21,12 @@ dead-electrode fault masks:
 import numpy as np
 import pytest
 
+from repro import Biochip
 from repro.array import CageManager, ElectrodeGrid
 from repro.physics.constants import um
-from repro.routing import BatchRouter, RoutingError, WavefrontRouter
+from repro.routing import RoutingError, WavefrontRouter
 from repro.workloads import hotspot_workload, random_permutation_workload
+from routing_oracles import AStarRouter
 
 SEEDS = tuple(range(10))  # >= 8 randomized instances per scenario
 
@@ -71,7 +73,7 @@ def assert_separation_every_frame(plan, min_separation=2):
 
 
 def assert_equivalent(g, requests, blocked=None):
-    ref_plan, ref_err = plan_or_error(BatchRouter(g, blocked=blocked))(requests)
+    ref_plan, ref_err = plan_or_error(AStarRouter(g, blocked=blocked))(requests)
     wav_plan, wav_err = plan_or_error(WavefrontRouter(g, blocked=blocked))(requests)
     # same feasibility verdict
     assert (ref_err is None) == (wav_err is None), (
@@ -140,17 +142,16 @@ def test_hotspot_equivalence(seed):
         execute_through_manager(g, requests, plan)
 
 
-def test_low_separation_falls_back_to_reference():
-    """min_separation < 2 admits swap/edge conflicts the vector table
-    does not model, so the wavefront router must delegate wholesale."""
-    g = grid()
-    requests = random_permutation_workload(g, n_cages=6, seed=1)
-    router = WavefrontRouter(g, min_separation=1)
-    plan = router.plan(requests)
-    assert plan.stats["fast_path_hits"] == 0
-    assert plan.stats["frontier_steps"] == 0
-    for request in requests:
-        assert plan.paths[request.cage_id][-1] == request.goal
+def test_router_rejects_separation_below_two():
+    """min_separation < 2 admits swap/edge conflicts the reservation
+    planes do not model, so the router refuses it up front."""
+    with pytest.raises(ValueError, match="min_separation"):
+        WavefrontRouter(grid(), min_separation=1)
+
+
+def test_chip_rejects_separation_below_two():
+    with pytest.raises(ValueError, match="min_separation"):
+        Biochip(grid=grid(), min_separation=1)
 
 
 def test_stats_expose_tier_counters():

@@ -24,14 +24,11 @@ from repro.array import ElectrodeGrid
 from repro.physics.constants import um
 from repro.routing import RoutingError, WavefrontRouter, distance_field, downhill_path
 from repro.routing.astar import MOVES_8, chebyshev_heuristic
-from repro.routing.multi import (
-    RoutingRequest,
-    _ReservationTable,
-    _VectorReservationTable,
-)
+from repro.routing.multi import RoutingRequest, _VectorReservationTable
 from repro.workloads import hotspot_workload, random_permutation_workload
 from routing_oracles import (
     OracleWavefrontRouter,
+    _ReservationTable,
     bfs_distance_field,
     oracle_wavefront,
 )
