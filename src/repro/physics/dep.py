@@ -19,6 +19,9 @@ This module provides:
 * :class:`DepCage` -- a trapped-particle abstraction: levitation height,
   stiffness, maximum drag speed and holding force, all computed from the
   semi-analytic field model.
+
+The levitation root is found by :func:`_brentq`, a pure-Python Brent
+solver, so the physics runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import EPSILON_0, GRAVITY, WATER_DENSITY
 from .dielectrics import clausius_mossotti
@@ -64,6 +66,62 @@ def dep_force_scale(radius, voltage, pitch, medium_relative_permittivity=78.5, c
     """
     eps_m = medium_relative_permittivity * EPSILON_0
     return 2.0 * math.pi * eps_m * radius**3 * abs(cm) * voltage**2 / pitch**3
+
+
+def _brentq(f, a, b, xtol=2e-12, rtol=4.0 * math.ulp(1.0), maxiter=100):
+    """Root of ``f`` in a sign-changing bracket ``[a, b]`` (Brent 1973).
+
+    A line-for-line port of the reference C ``brentq`` with its default
+    tolerances (``tests/test_numeric_oracles.py`` pins the roots to it
+    bit for bit): a secant or inverse-quadratic step when it is short
+    enough, else bisection.  Raises ``ValueError`` for a same-sign
+    bracket or a NaN function value and ``RuntimeError`` after
+    ``maxiter`` iterations.
+    """
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for __ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate (secant)
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate (inverse quadratic)
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def buoyant_weight(radius, particle_density, medium_density=WATER_DENSITY):
@@ -162,7 +220,7 @@ class DepCage:
         # A stable equilibrium has net force crossing + -> - as z grows.
         for i in range(len(zs) - 1):
             if net[i] > 0.0 >= net[i + 1]:
-                return float(brentq(self.net_vertical_force, zs[i], zs[i + 1]))
+                return _brentq(self.net_vertical_force, zs[i], zs[i + 1])
         return None
 
     def lateral_stiffness(self, z=None, probe=None):

@@ -160,10 +160,11 @@ class ArrayFieldModel:
         return gx, gy, gz
 
     def _step(self, z, step):
+        # Per point, so a vectorised scan and a scalar probe at the same
+        # height take the same finite-difference step.
         if step is not None:
             return step
-        zmin = float(np.min(z))
-        return max(zmin * 0.02, 1e-9)
+        return np.maximum(0.02 * z, 1e-9)
 
 
 def checkerboard_cage_patches(pitch, voltage, center=(0.0, 0.0), radius_cells=2):

@@ -889,27 +889,37 @@ class ConcurrentExecutionService(JobLifecycle):
                     slot.worker_id, "worker exited unexpectedly"
                 )
 
-    def _mark_worker_dead(self, worker_id, detail):
-        """Terminal bookkeeping for a worker that will never serve
-        again (caller holds the lock)."""
-        slot = self._workers[worker_id]
-        slot.health = "dead"
-        self._warm[worker_id].clear()
-        # Jobs still sitting in the dead worker's ready queue were
-        # never attempted; send them back to the heap for the
-        # survivors.
+    def _reclaim_lane(self, worker_id):
+        """Send the jobs waiting in a worker's ready queue back to the
+        heap for the other chips (caller holds the lock).  They were
+        never attempted, and the worker will not pull them soon: it is
+        dead, or sitting out a quarantine cooldown."""
         ready_q = self._ready_qs[worker_id]
+        sentinel = False
         while True:
             try:
                 item = ready_q.get_nowait()
             except queue.Empty:
                 break
             if item is None:
+                sentinel = True
                 continue
-            job, __ = item
-            if self._inflight.pop(job.job_id, None) is not None:
+            # The coordinator's own job object: a process lane holds a
+            # pickled copy.
+            job = self._inflight.pop(item[0].job_id, None)
+            if job is not None:
                 heapq.heappush(self._queue, (job.sort_key(), job))
                 self._queued_count += 1
+        if sentinel:  # shutting down: the worker still needs it to exit
+            ready_q.put_nowait(None)
+
+    def _mark_worker_dead(self, worker_id, detail):
+        """Terminal bookkeeping for a worker that will never serve
+        again (caller holds the lock)."""
+        slot = self._workers[worker_id]
+        slot.health = "dead"
+        self._warm[worker_id].clear()
+        self._reclaim_lane(worker_id)
         job_ids = sorted(slot.current_job_ids)
         slot.current_job_ids = set()
         for job_id in job_ids:
@@ -1081,6 +1091,7 @@ class ConcurrentExecutionService(JobLifecycle):
             slot = self._workers[worker_id]
             slot.health = "quarantined"
             slot.quarantined_at = t
+            self._reclaim_lane(worker_id)
             self._quarantined(
                 worker_id, self._last_errors.get(worker_id),
                 "itself at t=%.3f" % t,

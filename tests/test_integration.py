@@ -44,6 +44,18 @@ class TestPlatformPhysicsConsistency:
         cage = chip.dep_cage(polystyrene_bead(um(5)))
         assert cage.levitation_height() is not None
 
+    @pytest.mark.parametrize("radius", [2.23125e-6, 3.975e-6, 9.825e-6, 1.10625e-5, 1.33125e-5])
+    def test_bead_radii_with_a_sign_flip_at_the_bracket_levitate(self, radius):
+        """The levitation scan and the root solve used to take different
+        finite-difference steps, so for these bead radii the scan's
+        bracket had the same sign at both ends and the solve raised."""
+        chip = Biochip.small_chip()
+        bead = polystyrene_bead(radius=radius)
+        protocol = Protocol("bead").trap("p", (10, 10), bead).sense("p", 100).release("p")
+        result = Session.simulator(chip).run(protocol)
+        assert len(result.readings("p")) == 1
+        assert 0.0 < chip._levitation_height(bead) < chip.chamber.height
+
 
 def place_and_goals(chip, requests):
     """Create a cage at every request start; return {cage_id: goal}."""

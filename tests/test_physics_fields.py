@@ -137,3 +137,15 @@ class TestCagePattern:
         g_high = cage_field_model(pitch, 2.0, um(100)).grad_e2(um(5), 0.0, z)
         ratio = g_high[0] / g_low[0]
         assert ratio == pytest.approx(4.0, rel=1e-6)
+
+    def test_vector_and_scalar_probes_take_the_same_step(self):
+        """The finite-difference step is per point, so one vectorised
+        call over several heights equals the scalar calls bit for bit
+        (the levitation scan brackets the root the solve then refines)."""
+        model = cage_field_model(um(20), 3.3, um(100))
+        zs = np.array([um(2), um(11), um(23.36), um(60)])
+        vector = model.grad_e2(np.zeros_like(zs), np.zeros_like(zs), zs)
+        for i, z in enumerate(zs):
+            scalar = model.grad_e2(0.0, 0.0, z)
+            for axis in range(3):
+                assert vector[axis][i] == scalar[axis]

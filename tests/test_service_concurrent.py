@@ -15,6 +15,7 @@ telemetry under hammer.
 import asyncio
 import os
 import re
+import sys
 import threading
 import time
 
@@ -324,6 +325,36 @@ def test_quarantine_cooldown_and_manual_restart_in_wall_time():
             time.sleep(0.01)
         assert service.telemetry.counters["restarted"].value == 1
         assert service.snapshot()["pool"]["health"][0] == "healthy"
+
+
+def test_quarantined_worker_hands_its_lane_back():
+    """Jobs already waiting in a worker's lane when it quarantines go
+    back to the coordinator for the healthy chip instead of sitting out
+    the cooldown.  A tiny switch interval makes the coordinator refill
+    the faulty worker's lane while its first attempt is still running."""
+    shape = (GRID.rows, GRID.cols)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for __ in range(8):
+            faults = FleetFaultPlan(models={
+                0: FaultModel(shape=shape, transient_rate=1.0),
+                1: FaultModel.none(shape),
+            })
+            with ConcurrentExecutionService.dry_run(
+                    ConcurrentConfig(
+                        n_workers=2, max_retries=3, retry_backoff=0.01,
+                        quarantine_after=1, restart_cooldown=30.0,
+                        poll_interval=0.005,
+                    ),
+                    faults=faults, grid=GRID) as service:
+                service.submit_many(hot_protocol_traffic(GRID, n_jobs=6, seed=3))
+                results = service.drain(timeout=10.0)  # << the cooldown
+                assert len(results) == 6 and all(r.ok for r in results)
+                assert service.telemetry.counters["quarantined"].value == 1
+                service.restart_worker(0)  # so close() skips the cooldown
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_snapshot_exposes_pool_gauges():
