@@ -51,9 +51,6 @@ from .core import (
 from .faults import FaultInjector, FaultModel, FleetFaultPlan
 from .observability import FlightRecorder, JsonlSpanExporter, Tracer
 from .service import (
-    AsyncExecutionService,
-    ConcurrentConfig,
-    ConcurrentExecutionService,
     ErrorKind,
     ExecutionService,
     JobError,
@@ -62,6 +59,25 @@ from .service import (
 )
 
 __version__ = "2.0.0"
+
+#: The wall-clock tier, resolved from :mod:`repro.service` on first use
+#: so that ``import repro`` does not load it (or asyncio).
+_CONCURRENT = frozenset({
+    "AsyncExecutionService",
+    "ConcurrentConfig",
+    "ConcurrentExecutionService",
+})
+
+
+def __getattr__(name):
+    if name in _CONCURRENT:
+        from . import service
+
+        value = getattr(service, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AsyncExecutionService",

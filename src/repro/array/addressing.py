@@ -70,7 +70,6 @@ class RowColumnAddresser:
 
     def row_write_cycles(self) -> int:
         """Clock cycles to write one full row of pixel memories."""
-        words = math.ceil(self.grid.cols * self.bits_per_pixel / (self.word_width * self.bits_per_pixel))
         # The bus carries word_width pixels worth of phase code per cycle.
         words = math.ceil(self.grid.cols / self.word_width)
         return words + self.row_overhead_cycles
@@ -92,8 +91,14 @@ class RowColumnAddresser:
         """
         if not isinstance(old_frame, ArrayFrame) or not isinstance(new_frame, ArrayFrame):
             raise TypeError("expected ArrayFrame arguments")
-        dirty = new_frame.dirty_rows(old_frame)
-        return len(dirty) * self.row_write_time()
+        return self.rows_write_time(len(new_frame.dirty_rows(old_frame)))
+
+    def rows_write_time(self, n_rows) -> float:
+        """Seconds to rewrite ``n_rows`` rows: the incremental update
+        cost of a step whose dirty rows are already known (as
+        :meth:`CageManager.step <repro.array.cages.CageManager.step>`
+        reports them)."""
+        return n_rows * self.row_write_time()
 
     def row_scan_cycles(self) -> int:
         """Cycles to read one row of sensors."""

@@ -219,9 +219,15 @@ class CageManager:
         pass over the movers only (only pairs involving a mover can
         newly collide, swap, or violate separation), as vectorized
         gathers on the :class:`~repro.array.state.ArrayState` grids.
+
+        Returns the sorted rows the step rewrites: exactly
+        ``after.dirty_rows(before)`` for the :meth:`frame` before and
+        after it, found in O(movers).  A frame differs from the last
+        only at cage centres that appeared or vanished, i.e. at the
+        symmetric difference of the movers' origins and destinations.
         """
         if not moves:
-            return
+            return []
         k = len(moves)
         if k <= 8:
             # Scalar fast path: for a handful of movers (single-cage
@@ -247,18 +253,17 @@ class CageManager:
         this shape): ``ids`` int (movers,), ``deltas`` int (movers, 2).
         ``ids`` must be unique -- plans guarantee it, and the dict form
         of :meth:`step` cannot even express a duplicate.  Validation,
-        error priorities, and atomicity match :meth:`step` exactly.
+        error priorities, atomicity and the returned dirty rows match
+        :meth:`step` exactly.
         """
         ids = np.asarray(ids, dtype=np.int64)
         deltas = np.asarray(deltas, dtype=np.int64).reshape(-1, 2)
         if ids.size == 0:
-            return
+            return []
         if ids.size <= 8:
-            moves = {
-                int(cage_id): (int(dr), int(dc))
-                for cage_id, (dr, dc) in zip(ids, deltas)
-            }
-            return self._step_scalar(moves)
+            return self._step_scalar(
+                dict(zip(ids.tolist(), map(tuple, deltas.tolist())))
+            )
         return self._step_vector(ids, deltas)
 
     def _step_vector(self, ids, deltas):
@@ -356,6 +361,12 @@ class CageManager:
         # vectorized pass; Cage.site reads the table, so no per-cage
         # Python update is needed.
         state.move_cages(orig_r, orig_c, dest_r, dest_c, ids)
+        cols = self.grid.cols
+        changed = np.setxor1d(
+            orig_r.astype(np.int64) * cols + orig_c, dest_keys,
+            assume_unique=True,
+        )
+        return np.unique(changed // cols).tolist()
 
     def _step_scalar(self, moves):
         """Scalar step for small mover counts (same semantics as the
@@ -363,7 +374,10 @@ class CageManager:
 
         Grid reads go through ``ndarray.item`` on flat indices -- the
         cheapest scalar access numpy offers -- since a one-mover step
-        only touches a couple of dozen sites.
+        only touches a couple of dozen sites.  The separation check is a
+        pass over mover pairs plus one window read per mover; only when
+        it finds a conflict does the offset-ordered scan run to name the
+        pair the vectorized path would name.
         """
         state = self._state
         rows, cols = self.grid.rows, self.grid.cols
@@ -371,6 +385,7 @@ class CageManager:
         site_c = state._site_c
         cage_grid = state.cage_ids
         capacity = site_r.size
+        dead = state.dead if state.has_dead else None
         origins = {}
         dests = {}
         for cage_id, (drow, dcol) in moves.items():
@@ -385,7 +400,7 @@ class CageManager:
             dest = (orig_row + drow, orig_col + dcol)
             if not (0 <= dest[0] < rows and 0 <= dest[1] < cols):
                 raise CageError(f"cage {cage_id}: destination {dest} out of bounds")
-            if state.has_dead and state.dead[dest]:
+            if dead is not None and dead[dest]:
                 raise DeadElectrodeError(
                     f"cage {cage_id}: destination {dest} is a dead electrode"
                 )
@@ -411,6 +426,52 @@ class CageManager:
                 raise CageError(
                     f"cages {cage_id} and {occupant} swap sites {dest}"
                 )
+        if self._separation_conflict(dests):
+            self._raise_separation(dests, claimed)
+        # Commit: clear every origin first so chains move correctly.
+        occupancy = state.occupancy
+        for site in origins.values():
+            occupancy[site] = False
+            cage_grid[site] = NO_CAGE
+        for cage_id, dest in dests.items():
+            occupancy[dest] = True
+            cage_grid[dest] = cage_id
+            site_r[cage_id] = dest[0]
+            site_c[cage_id] = dest[1]
+        changed = set(origins.values()).symmetric_difference(dests.values())
+        return sorted({row for row, __ in changed})
+
+    def _separation_conflict(self, dests) -> bool:
+        """Whether any mover's destination comes within the separation
+        radius of another mover's destination or of a cage that stays."""
+        radius = self.min_separation - 1
+        if radius <= 0:
+            return False
+        sites = list(dests.values())
+        for i, (row, col) in enumerate(sites):
+            for other_row, other_col in sites[i + 1:]:
+                if (abs(row - other_row) <= radius
+                        and abs(col - other_col) <= radius):
+                    return True
+        if len(self._cages) == len(dests):
+            return False  # every cage moves: there are no others to hit
+        cage_grid = self._state.cage_ids
+        for row, col in sites:
+            window = cage_grid[
+                max(row - radius, 0) : row + radius + 1,
+                max(col - radius, 0) : col + radius + 1,
+            ]
+            for line in window.tolist():
+                for occupant in line:
+                    if occupant != NO_CAGE and occupant not in dests:
+                        return True
+        return False
+
+    def _raise_separation(self, dests, claimed):
+        """Raise the separation error for the first offending mover and
+        its first offending offset (the vectorized path's choice)."""
+        rows, cols = self.grid.rows, self.grid.cols
+        cage_grid = self._state.cage_ids
         for cage_id, dest in dests.items():
             for drow, dcol in separation_offsets(self.min_separation):
                 row, col = dest[0] + drow, dest[1] + dcol
@@ -426,16 +487,6 @@ class CageManager:
                         f"separation violated between cages {cage_id} "
                         f"and {other} at {dest}"
                     )
-        # Commit: clear every origin first so chains move correctly.
-        occupancy = state.occupancy
-        for cage_id, site in origins.items():
-            occupancy[site] = False
-            cage_grid[site] = NO_CAGE
-        for cage_id, dest in dests.items():
-            occupancy[dest] = True
-            cage_grid[dest] = cage_id
-            site_r[cage_id] = dest[0]
-            site_c[cage_id] = dest[1]
 
     def merge(self, cage_id_a, cage_id_b):
         """Merge cage b into cage a (they must be adjacent within 2*sep).

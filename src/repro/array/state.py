@@ -219,9 +219,9 @@ class ArrayState:
         Chebyshev ``radius`` of ``site``."""
         row, col = site
         r0, r1, c0, c1 = self.grid.window(row, col, radius)
-        ids = self.cage_ids[r0 : r1 + 1, c0 : c1 + 1]
         if ignore_id is None:
-            return bool((ids != NO_CAGE).any())
+            return bool(self.occupancy[r0 : r1 + 1, c0 : c1 + 1].any())
+        ids = self.cage_ids[r0 : r1 + 1, c0 : c1 + 1]
         return bool(((ids != NO_CAGE) & (ids != ignore_id)).any())
 
     def obstacle_mask(self, exclude_site=None):

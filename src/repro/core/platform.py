@@ -108,6 +108,10 @@ class Biochip:
             medium=self.medium,
         )
         self.readout = CapacitiveReadoutChain(sensor=sensor, rng=self.rng)
+        # Per-chip constants of the sense path: seconds per averaged
+        # sample, and the detection threshold per sample count.
+        self._sample_time = self.readout.time_per_sample(self.addresser)
+        self._thresholds = {}
         self.elapsed = 0.0
         self._history = []
         self.faults = None  # FaultModel installed by apply_faults
@@ -365,11 +369,19 @@ class Biochip:
         return signal, expected
 
     def _detection_threshold(self, n_samples) -> float:
-        """Detection threshold: 5x the post-averaging noise floor [V]."""
-        return 5.0 * max(
-            self.readout.noise_after_averaging(n_samples),
-            self.readout.adc.quantisation_noise_rms() / math.sqrt(n_samples),
-        )
+        """Detection threshold: 5x the post-averaging noise floor [V],
+        computed once per sample count (bounded like the signal caches)."""
+        thresholds = self._thresholds
+        threshold = thresholds.get(n_samples)
+        if threshold is None:
+            if len(thresholds) > 4096:
+                thresholds.clear()
+            threshold = thresholds[n_samples] = 5.0 * max(
+                self.readout.noise_after_averaging(n_samples),
+                self.readout.adc.quantisation_noise_rms()
+                / math.sqrt(n_samples),
+            )
+        return threshold
 
     # -- operations ---------------------------------------------------------
 
@@ -451,15 +463,13 @@ class Biochip:
             path = astar_route(self.grid, cage.site, goal, obstacles)
         except RoutingError as exc:
             raise ExecutionError(str(exc)) from exc
-        previous_frame = self.cages.frame()
         total_time = 0.0
         for delta in path_moves(path):
-            self.cages.step({cage_id: delta})
-            frame = self.cages.frame()
-            program = self.addresser.incremental_program_time(previous_frame, frame)
+            program = self.addresser.rows_write_time(
+                len(self.cages.step({cage_id: delta}))
+            )
             dwell = math.hypot(*delta) * self.grid.pitch / self.cage_speed
             total_time += program + dwell
-            previous_frame = frame
         self._log(
             "move",
             {"cage": cage_id, "from": path[0], "to": path[-1], "steps": len(path) - 1},
@@ -548,27 +558,23 @@ class Biochip:
         for key in ("fast_path_hits", "greedy_walk_hits", "frontier_steps",
                     "replans"):
             totals[key] += plan.stats.get(key, 0)
-        previous_frame = self.cages.frame()
         program_time = 0.0
         dwell_time = 0.0
         total_moves = 0
         diagonal_dwell = math.sqrt(2.0) * self.grid.pitch / self.cage_speed
         straight_dwell = self.grid.pitch / self.cage_speed
+        row_time = self.addresser.rows_write_time
+        # frame dwell is set by the longest single-cage hop: pitch, or
+        # pitch*sqrt(2) if any mover goes diagonally
+        diagonal = plan.diagonal_steps()
         for step in range(plan.makespan):
             ids, deltas = plan.moves_arrays_at(step)
             if ids.size == 0:
                 continue
-            self.cages.step_arrays(ids, deltas)
-            frame = self.cages.frame()
-            program_time += self.addresser.incremental_program_time(
-                previous_frame, frame
-            )
-            # frame dwell is set by the longest single-cage hop: pitch,
-            # or pitch*sqrt(2) if any mover goes diagonally
-            any_diagonal = bool((deltas != 0).all(axis=1).any())
-            dwell_time += diagonal_dwell if any_diagonal else straight_dwell
-            total_moves += int(ids.size)
-            previous_frame = frame
+            # the step reports the rows its frame update rewrites
+            program_time += row_time(len(self.cages.step_arrays(ids, deltas)))
+            dwell_time += diagonal_dwell if diagonal[step] else straight_dwell
+            total_moves += ids.size
         report = {
             "cages": len(goals),
             "frames": plan.makespan,
@@ -634,12 +640,11 @@ class Biochip:
         reading = self.readout.averaged_reading_from_signal(signal, n_samples)
         if self.faults is not None:
             reading = self._corrupt_reading(cage.site, reading)
-        threshold = self._detection_threshold(n_samples)
         return SenseResult(
             cage_id=cage.cage_id,
             reading=reading,
             n_samples=n_samples,
-            detected=abs(reading) > threshold,
+            detected=abs(reading) > self._detection_threshold(n_samples),
             expected=expected,
             duration=duration,
         )
@@ -707,22 +712,14 @@ class Biochip:
         extra = 0.0
         step_dwell = math.hypot(*delta) * self.grid.pitch / self.cage_speed
         for move in (delta, (-delta[0], -delta[1])):
-            previous_frame = self.cages.frame()
+            extra += self.addresser.rows_write_time(
+                len(self.cages.step({cage_id: move}))
+            ) + step_dwell
             if move is delta:
-                self.cages.step({cage_id: move})
-                extra += self.addresser.incremental_program_time(
-                    previous_frame, self.cages.frame()
-                ) + step_dwell
                 result = self._sense_reading(
-                    cage, n_samples,
-                    n_samples * self.readout.time_per_sample(self.addresser),
+                    cage, n_samples, n_samples * self._sample_time
                 )
                 extra += result.duration
-            else:
-                self.cages.step({cage_id: move})
-                extra += self.addresser.incremental_program_time(
-                    previous_frame, self.cages.frame()
-                ) + step_dwell
         result.rescanned = True
         return result, extra
 
@@ -735,7 +732,7 @@ class Biochip:
         charged to this operation).
         """
         cage = self.cages.cage(cage_id)
-        duration = n_samples * self.readout.time_per_sample(self.addresser)
+        duration = n_samples * self._sample_time
         result = self._sense_reading(cage, n_samples, duration)
         quarantine = self._sensor_quarantine
         if (quarantine is not None

@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import ProtocolError
 
@@ -221,8 +222,10 @@ class Protocol:
 
         registry = registry or default_registry
         rename = {}
+        specs = []
         for cmd in self.commands:
             spec = registry.get(type(cmd))
+            specs.append(spec)
             if spec is None:
                 continue
             for handle in spec.defined_handles(cmd):
@@ -232,17 +235,17 @@ class Protocol:
                 rename.setdefault(handle, f"\x00{len(rename)}")
         no_rename = {}
         tokens = []
-        for cmd in self.commands:
-            spec = registry.get(type(cmd))
+        for cmd, spec in zip(self.commands, specs):
             handle_fields = getattr(spec, "handle_fields", ()) if spec else ()
-            tokens.append(type(cmd).__name__)
-            if not dataclasses.is_dataclass(cmd):
+            cls = type(cmd)
+            tokens.append(cls.__name__)
+            names = _field_names(cls)
+            if names is None:
                 tokens.append(repr(cmd))
                 continue
-            for f in dataclasses.fields(cmd):
-                value = getattr(cmd, f.name)
-                scope = rename if f.name in handle_fields else no_rename
-                tokens.append(f"{f.name}={_canonical(value, scope)}")
+            for name in names:
+                scope = rename if name in handle_fields else no_rename
+                tokens.append(f"{name}={_canonical(getattr(cmd, name), scope)}")
         digest = hashlib.sha256("\x1f".join(tokens).encode("utf-8"))
         return digest.hexdigest()[:16]
 
@@ -270,6 +273,19 @@ class Protocol:
         return True
 
 
+#: value types :func:`_canonical` tokenises as their plain ``repr``
+_PLAIN_SCALARS = frozenset({int, float, bool, type(None)})
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls):
+    """The field names :meth:`Protocol.fingerprint` hashes for a command
+    type (None for a non-dataclass type), looked up once per type."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _canonical(value, rename) -> str:
     """Deterministic token for one command field value.
 
@@ -277,10 +293,12 @@ def _canonical(value, rename) -> str:
     definition-order alias; containers recurse so handle references
     nested in e.g. ``MoveManyCmd.moves`` are canonicalised too.
     """
+    if type(value) in _PLAIN_SCALARS:
+        return repr(value)
     if isinstance(value, str):
         return repr(rename.get(value, value))
     if isinstance(value, (tuple, list)):
-        return "(" + ",".join(_canonical(v, rename) for v in value) + ")"
+        return "(" + ",".join([_canonical(v, rename) for v in value]) + ")"
     if isinstance(value, dict):
         items = sorted(
             (_canonical(k, rename), _canonical(v, rename))

@@ -115,6 +115,15 @@ class NoiseGenerator:
     and the flicker part is a slowly wandering offset (first-order
     autoregressive process with long correlation), so that averaging
     exhibits the realistic sqrt(N)-then-floor behaviour.
+
+    RNG stream (the reproducibility contract, unchanged): :meth:`sample`
+    draws one size-``n`` white array, then -- with flicker enabled --
+    one size-``n`` flicker-drive array, and nothing else.  The AR(1)
+    recursion runs on Python floats, the same IEEE double operations in
+    the same order as a loop over numpy scalars, so every sample and
+    the flicker state it leaves are bit for bit the numpy-scalar
+    reference's (``tests/sensing_oracles.py``), and so is every reading
+    built on them; ``tests/test_sensing_equivalence.py`` pins both.
     """
 
     white_sigma: float
@@ -144,13 +153,17 @@ class NoiseGenerator:
         drive = self.rng.normal(
             0.0, self.flicker_sigma * math.sqrt(1.0 - rho**2), size=n
         )
+        # The recursion on Python floats, stored through a memoryview:
+        # the cheapest scalar write into the output numpy offers.
         flicker = np.empty(n)
-        state = self._flicker_state
-        for i in range(n):
-            state = rho * state + drive[i]
-            flicker[i] = state
+        out = memoryview(flicker)
+        state = float(self._flicker_state)
+        for i, kick in enumerate(drive.tolist()):
+            state = rho * state + kick
+            out[i] = state
         self._flicker_state = state
-        return white + flicker
+        white += flicker
+        return white
 
     def sample_block(self, n_rows, n):
         """Return an ``(n_rows, n)`` block of noise trajectories.

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import mmap
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +46,32 @@ from .astar import (
     downhill_path,
 )
 from .bitrows import dilate8, pack_rows, repeat_rows, row_stride
+
+
+def _towards(a, b, length):
+    """``length + 1`` values stepping from ``a`` to ``b`` by one, then
+    holding at ``b``: one coordinate of a Chebyshev-optimal king path."""
+    step = 1 if b >= a else -1
+    return list(range(a, b + step, step)) + [b] * (length - abs(b - a))
+
+
+@lru_cache(maxsize=None)
+def _window_ors(radius, row_bytes):
+    """A reserved window as byte ORs, per in-byte shift of its first
+    column: ``[shift] -> ((byte offset, value), ...)`` over the window's
+    ``2 * radius + 1`` rows, zero bytes left out."""
+    run = (1 << (2 * radius + 1)) - 1
+    n_bytes = (2 * radius + 1 + 7 + 7) // 8
+    table = []
+    for shift in range(8):
+        bits = run << shift
+        table.append(tuple(
+            (k * row_bytes + b, bits >> (8 * b) & 0xFF)
+            for k in range(2 * radius + 1)
+            for b in range(n_bytes)
+            if bits >> (8 * b) & 0xFF
+        ))
+    return tuple(table)
 
 
 @dataclass
@@ -89,11 +116,18 @@ class BatchPlan:
                 sites[i, len(arr):] = arr[-1]
         self._cage_ids = np.asarray(cage_ids, dtype=np.int64)
         self._sites = sites
-        self._deltas = np.diff(sites, axis=1)
-        self._moving = (self._deltas != 0).any(axis=2)
+        self._deltas = None  # per-frame moves, built on first use
+        self._moving = None
         self._paths = None
         self.makespan = makespan
         self.stats = stats if stats is not None else {}
+
+    def _frame_moves(self):
+        """(deltas (cages, makespan, 2), moving (cages, makespan))."""
+        if self._deltas is None:
+            self._deltas = self._sites[:, 1:] - self._sites[:, :-1]
+            self._moving = self._deltas.any(axis=2)
+        return self._deltas, self._moving
 
     @property
     def cage_ids(self):
@@ -134,12 +168,19 @@ class BatchPlan:
         """
         if not 0 <= step < self.makespan:
             raise IndexError("step outside plan horizon")
-        moving = self._moving[:, step]
-        return self._cage_ids[moving], self._deltas[moving, step]
+        deltas, moving = self._frame_moves()
+        moving = moving[:, step]
+        return self._cage_ids[moving], deltas[moving, step]
+
+    def diagonal_steps(self) -> list:
+        """Per frame, whether any cage moves diagonally (bools, length
+        ``makespan``): the frames whose dwell is a pitch times sqrt 2."""
+        deltas, __ = self._frame_moves()
+        return deltas.all(axis=2).any(axis=0).tolist()
 
     def total_moves(self) -> int:
         """Total non-wait single-cage moves in the plan."""
-        return int(np.count_nonzero(self._moving))
+        return int(np.count_nonzero(self._frame_moves()[1]))
 
 
 class _VectorReservationTable:
@@ -155,12 +196,12 @@ class _VectorReservationTable:
     ``(horizon + 2, rows + 2r, stride // 8)`` array (the
     :mod:`~repro.routing.bitrows` layout: little bit order, column ``c``
     at bit ``c + r``) and ``parked_from`` an int grid, both padded by
-    the inflation radius ``r`` so window scatters and band reads never
-    need bounds clipping.  ``reserve_path`` writes a whole path's
-    windows with one vectorized scatter per byte a window row spans,
-    and the wavefront reads a window's row band at time ``t`` as one
-    contiguous byte slice (:meth:`band`) instead of probing
-    ``site_free`` per node.
+    the inflation radius ``r`` so window writes and band reads never
+    need bounds clipping.  ``reserve_path`` ORs a short path's windows
+    in byte by byte and a long one's with one vectorized scatter per
+    byte a window row spans, and the wavefront reads a window's row
+    band at time ``t`` as one contiguous byte slice (:meth:`band`)
+    instead of probing ``site_free`` per node.
 
     Edge (swap) conflicts are not tracked: with ``separation >= 2`` a
     swap is unreachable, because any site adjacent to a reserved
@@ -169,6 +210,10 @@ class _VectorReservationTable:
     """
 
     _NEVER = 1 << 30
+    #: Paths of at most this many steps are reserved by scalar byte
+    #: writes (~1 us a step); longer ones by the numpy scatter, whose
+    #: ~30 us fixed cost only pays off past about 30 steps.
+    SCALAR_PATH_STEPS = 24
 
     def __init__(self, separation, shape, horizon):
         self.separation = separation
@@ -197,29 +242,45 @@ class _VectorReservationTable:
         # bits it spans this many bytes of a packed row.
         self._run = (1 << (2 * self.radius + 1)) - 1
         self._run_bytes = (2 * self.radius + 1 + 7 + 7) // 8
-        row_bytes = self.stride // 8
-        self._window_rows = np.arange(2 * self.radius + 1) * row_bytes
+        self.row_bytes = self.stride // 8
+        self.plane_bytes = shape[1] * self.row_bytes
+        self._window_ors = _window_ors(self.radius, self.row_bytes)
 
     def reserve_path(self, cage_id, path):
-        arr = np.asarray(path, dtype=np.int64).reshape(-1, 2)
-        from_t = len(arr) - 1
         radius = self.radius
-        if from_t > 0:
+        from_t = len(path) - 1
+        if from_t > self.SCALAR_PATH_STEPS:
             # One scatter per byte of the window run, over every
             # (t, window row) of the path at once: t differs along the
             # path, so no index repeats within a scatter.  A run that
             # fits in fewer bytes ORs zero into the next byte, which
             # always exists (plane horizon + 1 is never written).
+            arr = np.asarray(path, dtype=np.int64).reshape(-1, 2)
             __, plane_rows, row_bytes = self.blocked.shape
             byte, shift = np.divmod(arr[:from_t, 1], 8)
             top = np.arange(from_t) * plane_rows + arr[:from_t, 0]
-            index = (top * row_bytes + byte)[:, None] + self._window_rows
+            window_rows = np.arange(2 * radius + 1) * row_bytes
+            index = (top * row_bytes + byte)[:, None] + window_rows
             bits = (self._run << shift)[:, None]
             flat = self.blocked.reshape(-1)
             for k in range(self._run_bytes):
                 flat[index + k] |= ((bits >> (8 * k)) & 0xFF).astype(np.uint8)
-        goal_r = int(arr[-1, 0]) + radius
-        goal_c = int(arr[-1, 1]) + radius
+        else:
+            # Byte-wise ORs into the mapping: step t's window, shifted
+            # to its column, from the per-shift (offset, value) table.
+            data = self.data
+            row_bytes = self.row_bytes
+            plane_bytes = self.plane_bytes
+            window_ors = self._window_ors
+            sites = path.tolist() if isinstance(path, np.ndarray) else path
+            for t in range(from_t):
+                row, col = sites[t]
+                base = t * plane_bytes + row * row_bytes + (col >> 3)
+                for offset, value in window_ors[col & 7]:
+                    data[base + offset] |= value
+        goal = path[-1]
+        goal_r = int(goal[0]) + radius
+        goal_c = int(goal[1]) + radius
         window = self.parked_from[
             goal_r - radius : goal_r + radius + 1,
             goal_c - radius : goal_c + radius + 1,
@@ -227,11 +288,12 @@ class _VectorReservationTable:
         np.minimum(window, from_t, out=window)
         self._latest_parked = max(self._latest_parked, from_t)
 
-    def blocked_bits(self, t, rows, cols):
-        """Transient-blocked flags (0/1) of plane(s) ``t`` at *padded*
-        ``(rows, cols)``; numpy index arrays broadcast as in a gather."""
-        byte, shift = np.divmod(cols, 8)
-        return (self.blocked[t, rows, byte] >> shift) & 1
+    def blocked_bit(self, t, row, col) -> int:
+        """Transient-blocked flag (0/1) of plane ``t`` at *padded*
+        ``(row, col)``, read from the mapping as a plain int."""
+        return self.data[
+            t * self.plane_bytes + row * self.row_bytes + (col >> 3)
+        ] >> (col & 7) & 1
 
     def band(self, t, row0, row1):
         """Blocked plane ``t`` over grid rows ``row0..row1`` as a band
@@ -248,7 +310,7 @@ class _VectorReservationTable:
         if self.parked_from[row, col] <= t:
             return False
         if t < self.blocked.shape[0]:
-            return not self.blocked_bits(t, row, col)
+            return not self.blocked_bit(t, row, col)
         return True
 
     def latest_parked_time(self) -> int:
@@ -407,19 +469,19 @@ class BatchRouter:
 
     def _validate(self, requests):
         seen = set()
+        rows, cols = self.grid.rows, self.grid.cols
+        blocked_flat = self._blocked_flat
         for request in requests:
             if request.cage_id in seen:
                 raise RoutingError(f"duplicate cage id {request.cage_id}")
             seen.add(request.cage_id)
             for site, label in ((request.start, "start"), (request.goal, "goal")):
-                if not self.grid.in_bounds(*site):
+                if not (0 <= site[0] < rows and 0 <= site[1] < cols):
                     raise RoutingError(
                         f"cage {request.cage_id} {label} {site} out of bounds"
                     )
-            if (self._blocked_flat is not None
-                    and self._blocked_flat[
-                        request.goal[0] * self.grid.cols + request.goal[1]
-                    ]
+            if (blocked_flat is not None
+                    and blocked_flat[request.goal[0] * cols + request.goal[1]]
                     and request.goal != request.start):
                 raise RoutingError(
                     f"cage {request.cage_id} goal {request.goal} is a "
@@ -512,14 +574,7 @@ class WavefrontRouter(BatchRouter):
                 f"cage {request.cage_id}: no conflict-free route within "
                 f"horizon {horizon}"
             )
-        # Earliest legal arrival: the goal must stay free from arrival
-        # through the settle time, which for transient blocks means
-        # "after the last one".
-        upto = min(settle, table.blocked.shape[0] - 1)
-        transients = np.nonzero(
-            table.blocked_bits(slice(0, upto + 1), goal_r, goal_c)
-        )[0]
-        min_arrival = int(transients[-1]) + 1 if transients.size else 0
+        min_arrival = self._min_arrival(goal, table)
         path = self._direct_path(start, goal, min_arrival, table, horizon)
         if path is not None:
             self._counters["fast_path_hits"] += 1
@@ -561,52 +616,67 @@ class WavefrontRouter(BatchRouter):
             self._field_cache[goal] = field
         return field
 
+    @staticmethod
+    def _min_arrival(goal, table):
+        """Earliest legal arrival at ``goal``: it must stay free from
+        arrival through the table's settle time, which for transient
+        blocks means one step after the last one (0 when there is
+        none).  A scalar scan of the goal's bit down the planes, from
+        the settle time, that stops at the first blocked plane."""
+        col = goal[1] + table.radius
+        # blocked_bit(t, row, col) with the (row, col) part hoisted: the
+        # scan covers every plane up to the settle time
+        offset = (goal[0] + table.radius) * table.row_bytes + (col >> 3)
+        shift = col & 7
+        data = table.data
+        plane_bytes = table.plane_bytes
+        upto = min(table.latest_parked_time(), table.blocked.shape[0] - 1)
+        for t in range(upto, -1, -1):
+            if data[t * plane_bytes + offset] >> shift & 1:
+                return t + 1
+        return 0
+
     def _direct_path(self, start, goal, min_arrival, table, horizon):
-        """Probe the static-shortest path as one vectorized gather.
+        """Probe the static-shortest path, one scalar read per step.
 
         Builds the Chebyshev-optimal king path (via the shared
         per-goal distance field when dead electrodes force a detour),
         prepends start waits if the goal needs settling time, and
-        checks every (site, t) against the reservation planes at once.
-        Returns the path, or None when the probe fails and the full
-        wavefront must run.
+        checks each (site, t) against the parked table and the
+        reservation planes, stopping at the first blocked step.
+        Returns the path as an int32 ``(arrival + 1, 2)`` array, or
+        None when the probe fails and the full wavefront must run.
         """
         distance = chebyshev_heuristic(start, goal)
         if distance == 0:
             return np.asarray([start], dtype=np.int32) if min_arrival == 0 else None
         if self._blocked_arr is None:
-            steps = np.arange(distance + 1)
-            dr, dc = goal[0] - start[0], goal[1] - start[1]
-            row_seq = start[0] + np.sign(dr) * np.minimum(steps, abs(dr))
-            col_seq = start[1] + np.sign(dc) * np.minimum(steps, abs(dc))
+            # each coordinate walks straight to the goal's, then holds
+            rows = _towards(start[0], goal[0], distance)
+            cols = _towards(start[1], goal[1], distance)
+            walk = list(zip(rows, cols))
         else:
             fld = self._static_distance(goal)
             if fld[start] != distance:
                 # start unreachable statically, or a dead-pixel detour
                 # is needed: the wavefront handles both
                 return None
-            walk = np.asarray(downhill_path(fld, start), dtype=np.int64)
-            row_seq, col_seq = walk[:, 0], walk[:, 1]
+            walk = downhill_path(fld, start)
         arrival = max(distance, min_arrival)
         if arrival > horizon:
             return None
         waits = arrival - distance
         if waits:
-            row_seq = np.concatenate(
-                [np.full(waits, start[0], dtype=np.int64), row_seq]
-            )
-            col_seq = np.concatenate(
-                [np.full(waits, start[1], dtype=np.int64), col_seq]
-            )
+            walk = [walk[0]] * waits + walk
         radius = table.radius
-        t_seq = np.arange(1, arrival + 1)
-        rows = row_seq[1:] + radius
-        cols = col_seq[1:] + radius
-        if (table.parked_from[rows, cols] <= t_seq).any():
-            return None
-        if table.blocked_bits(t_seq, rows, cols).any():
-            return None
-        return np.column_stack([row_seq, col_seq]).astype(np.int32)
+        parked = table.parked_from
+        for t in range(1, arrival + 1):
+            row, col = walk[t]
+            row += radius
+            col += radius
+            if parked[row, col] <= t or table.blocked_bit(t, row, col):
+                return None
+        return np.array(walk, dtype=np.int32)
 
     def _greedy_walk(self, start, goal, min_arrival, table, horizon):
         """Middle tier of the fast-path ladder: a scalar greedy walk.

@@ -79,6 +79,9 @@ class Binder:
         if len(names) != len(set(names)):
             raise ValueError("duplicate resource names")
         self._by_name = {r.name: r for r in self.resources}
+        # op type -> resources supporting it, in resource order; filled
+        # once per type instead of filtering every resource per operation
+        self._by_type = {}
 
     def resource(self, name) -> Resource:
         try:
@@ -99,12 +102,16 @@ class Binder:
                     f"which cannot run {operation.op_type}"
                 )
             return [resource]
-        found = [r for r in self.resources if r.supports(operation.op_type)]
+        found = self._by_type.get(operation.op_type)
+        if found is None:
+            found = self._by_type[operation.op_type] = tuple(
+                r for r in self.resources if r.supports(operation.op_type)
+            )
         if not found:
             raise BindingError(
                 f"no resource supports {operation.op_type} (op {operation.op_id})"
             )
-        return found
+        return list(found)
 
     def validate_graph(self, graph):
         """Check every operation of an assay graph is bindable."""

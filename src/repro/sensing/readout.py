@@ -74,11 +74,34 @@ class AnalogToDigital:
         return self.full_scale / (2**self.bits)
 
     def quantise(self, voltages):
-        """Quantise voltages to code centres, clipping at the rails."""
-        v = np.clip(np.asarray(voltages, dtype=float), 0.0, self.full_scale)
-        codes = np.floor(v / self.lsb)
-        codes = np.clip(codes, 0, 2**self.bits - 1)
-        return (codes + 0.5) * self.lsb
+        """Quantise voltages to code centres, clipping at the rails.
+
+        Returns a new array (a numpy scalar for scalar or 0-d input);
+        ``voltages`` is never modified.
+        """
+        codes = np.array(voltages, dtype=float)
+        self.quantise_inplace(codes)
+        return codes if codes.ndim else codes[()]
+
+    def quantise_inplace(self, volts):
+        """:meth:`quantise` into ``volts`` itself (a float ndarray): the
+        readout chain's form, with no temporaries.
+
+        The same elementwise double operations as clipping to the rails,
+        flooring ``v / lsb`` and mapping codes to their centres, so the
+        values are bit-identical to :meth:`quantise`.  (Codes of clipped
+        voltages are never negative, so only the top code is clamped; a
+        ``-0.0`` that ``np.clip`` would turn into ``0.0`` lands on the
+        same centre.)
+        """
+        lsb = self.lsb
+        np.maximum(volts, 0.0, out=volts)
+        np.minimum(volts, self.full_scale, out=volts)
+        volts /= lsb
+        np.floor(volts, out=volts)
+        np.minimum(volts, 2**self.bits - 1, out=volts)
+        volts += 0.5
+        volts *= lsb
 
     def quantisation_noise_rms(self) -> float:
         """RMS quantisation noise LSB/sqrt(12) [V]."""
@@ -148,8 +171,15 @@ class CapacitiveReadoutChain:
         the pedestal plus noise.
         """
         signal = self.signal_voltage(particle, height) if particle is not None else 0.0
-        analog = self.pedestal + signal + self._noise.sample(n_samples)
-        return self.adc.quantise(analog)
+        return self._digitised(signal, n_samples)
+
+    def _digitised(self, signal, n_samples):
+        """``n_samples`` ADC outputs for a noise-free signal level: one
+        noise draw, offset and quantised in place."""
+        analog = self._noise.sample(n_samples)
+        analog += self.pedestal + signal
+        self.adc.quantise_inplace(analog)
+        return analog
 
     def averaged_reading(self, particle=None, height=None, n_samples=1) -> float:
         """Mean of ``n_samples`` digitised samples minus the pedestal [V]."""
@@ -163,8 +193,9 @@ class CapacitiveReadoutChain:
         used for combined multi-particle cage signals, where the caller
         sums the per-particle contributions.
         """
-        analog = self.pedestal + signal + self._noise.sample(n_samples)
-        return float(np.mean(self.adc.quantise(analog))) - self.pedestal
+        # sum / n is np.mean's own reduction and division
+        digitised = self._digitised(signal, n_samples)
+        return float(digitised.sum()) / n_samples - self.pedestal
 
     def batch_readings(self, signals, n_samples=1, max_block=4_000_000):
         """Averaged pedestal-removed readings for many pixels at once [V].
@@ -195,8 +226,9 @@ class CapacitiveReadoutChain:
             analog = self._noise.sample_block(chunk.size, n_samples)
             analog += self.pedestal
             analog += chunk[:, None]
+            self.adc.quantise_inplace(analog)
             readings[start : start + block] = (
-                self.adc.quantise(analog).mean(axis=1) - self.pedestal
+                analog.mean(axis=1) - self.pedestal
             )
         return readings
 

@@ -45,18 +45,10 @@ through dispatch, retries and migration to its terminal state, and
 summaries and fleet gauges in the Prometheus text exposition format.
 """
 
+import importlib
+
 from .cache import CacheStats, ProgramCache, program_key, rebind_program
-from .concurrent import (
-    AsyncExecutionService,
-    AsyncJobHandle,
-    Clock,
-    ConcurrentConfig,
-    ConcurrentExecutionService,
-    ConcurrentJobHandle,
-    FleetClock,
-    SenseTap,
-    WallClock,
-)
+from .clocks import Clock, FleetClock, WallClock
 from .fleet import (
     POLICIES,
     AffinityPolicy,
@@ -90,6 +82,27 @@ from .tenancy import (
     protocol_footprint,
     routing_separation,
 )
+
+#: The wall-clock tier's names, imported from :mod:`.concurrent` on
+#: first use: the tier pulls in threads and asyncio (~90 ms of import),
+#: which the virtual tier and the simulator never need.
+_CONCURRENT = frozenset({
+    "AsyncExecutionService",
+    "AsyncJobHandle",
+    "ConcurrentConfig",
+    "ConcurrentExecutionService",
+    "ConcurrentJobHandle",
+    "SenseTap",
+})
+
+
+def __getattr__(name):
+    if name in _CONCURRENT:
+        value = getattr(importlib.import_module(".concurrent", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Explicit so ``import *`` exports the API, not the submodule objects
 #: (cache, fleet, ...) that the imports above bind in package globals.

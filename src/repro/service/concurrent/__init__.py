@@ -7,10 +7,11 @@ request) serving protocol jobs off a shared priority queue, with the
 same admission / retry / quarantine semantics in wall seconds, plus an
 asyncio front end with streaming job handles and queue backpressure.
 
-This package never imports the virtual-clock scheduler -- the
-dependency points the other way (the scheduler borrows
-:class:`~repro.service.concurrent.syncbridge.FleetClock` from here), so
-either tier can be used without the other.
+This package never imports the virtual-clock scheduler, and the
+scheduler never imports this package (both read their clocks from
+:mod:`repro.service.clocks`), so either tier can be used without the
+other: ``import repro`` loads this package, and asyncio with it, only
+when one of its names is first used.
 """
 
 from .frontend import AsyncExecutionService, AsyncJobHandle

@@ -1,24 +1,9 @@
-"""Clock sources and thread-safety bridges for the execution tiers.
+"""Thread-safety bridges for the wall-clock execution tier.
 
-The virtual-clock :class:`~repro.service.scheduler.ExecutionService`
-and the wall-clock
-:class:`~repro.service.concurrent.workers.ConcurrentExecutionService`
-share one clock *interface* -- a monotonic ``now()`` in seconds -- so
-the serving semantics built on time (deadline expiry, retry backoff
-windows, quarantine cooldowns) are written once against :class:`Clock`
-and work unchanged on either tier:
-
-* :class:`FleetClock` reads fleet virtual time (the furthest-along
-  chip's accounted clock) -- deterministic, advanced by simulation;
-* :class:`WallClock` reads ``time.monotonic()`` against a fixed epoch
-  -- real serving time, advanced by the host.
-
-A :class:`WallClock` epoch is an absolute ``time.monotonic()`` value,
-so the clock can be *shared across processes*: the parent passes its
-epoch to spawned chip workers and every tier participant (deadline
-checks in workers, backoff stamps in the coordinator) reads the same
-timeline.  On the platforms the tier supports, ``time.monotonic()`` is
-a system-wide clock, not a per-process one.
+The tiers' clocks live in :mod:`repro.service.clocks` (re-exported
+here): both tiers read one ``now()`` interface, the virtual tier
+through :class:`FleetClock`, this tier through a shared
+:class:`WallClock`.
 
 :class:`SenseTap` is the streaming bridge: a transparent backend proxy
 that forwards every sense outcome to a callback as it happens, which is
@@ -28,49 +13,9 @@ thread mid-protocol.
 
 from __future__ import annotations
 
-import time
+from ..clocks import Clock, FleetClock, WallClock
 
-
-class Clock:
-    """Monotonic time source interface: seconds from the tier's epoch."""
-
-    def now(self) -> float:
-        raise NotImplementedError
-
-
-class FleetClock(Clock):
-    """Fleet virtual time: the max of the chips' accounted clocks.
-
-    The deterministic reference tier's clock -- it only advances when a
-    chip executes (or incubates through) work, so every read is
-    reproducible for a given workload.
-    """
-
-    def __init__(self, fleet):
-        self.fleet = fleet
-
-    def now(self) -> float:
-        return self.fleet.now
-
-
-class WallClock(Clock):
-    """Real time from ``time.monotonic()``, zeroed at ``epoch``.
-
-    ``epoch`` defaults to construction time; pass an existing clock's
-    :attr:`epoch` to share one timeline across threads and spawned
-    worker processes.
-    """
-
-    def __init__(self, epoch: float | None = None):
-        self.epoch = time.monotonic() if epoch is None else float(epoch)
-
-    def now(self) -> float:
-        return time.monotonic() - self.epoch
-
-    @staticmethod
-    def sleep(seconds: float):
-        if seconds > 0.0:
-            time.sleep(seconds)
+__all__ = ["Clock", "FleetClock", "SenseTap", "WallClock"]
 
 
 class SenseTap:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from ..core.backend import DryRunBackend
 from ..core.errors import ServiceError
 from ..core.session import Session
-from .concurrent.syncbridge import FleetClock
+from .clocks import FleetClock
 from .fleet import ChipHealth, Fleet, make_policy
 from .jobs import JobHandle, JobResult, JobState
 from .lifecycle import (

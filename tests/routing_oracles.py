@@ -17,6 +17,13 @@ oracles: ``tests/test_routing_equivalence.py`` and
   :func:`oracle_wavefront` as its kernel.
 * :func:`bfs_distance_field` -- a plain-Python king-move BFS, the
   reference for :func:`repro.routing.astar.distance_field`.
+* :func:`oracle_direct_path`, :func:`oracle_min_arrival` and
+  :func:`oracle_reserve_path` -- the numpy forms of the wavefront
+  router's small-plan probes: the direct king path checked as one
+  vectorized gather, the goal-settle scan as ``np.nonzero`` over a
+  gathered bit column, and the reservation write as one scatter per
+  byte of the window run (the package keeps that scatter for long
+  paths only).
 """
 
 from __future__ import annotations
@@ -27,7 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.routing.astar import MOVES_8, WAIT, RoutingError, chebyshev_heuristic
+from repro.routing.astar import (
+    MOVES_8,
+    WAIT,
+    RoutingError,
+    chebyshev_heuristic,
+    downhill_path,
+)
 from repro.routing.multi import BatchRouter, WavefrontRouter
 
 
@@ -315,3 +328,90 @@ def bfs_distance_field(free, source, max_levels=None):
                 field[r][c] = level
                 queue.append((r, c))
     return np.asarray(field, dtype=np.int32)
+
+
+def _blocked_bits(table, t, rows, cols):
+    """Transient-blocked flags (0/1) of plane(s) ``t`` at *padded*
+    ``(rows, cols)``; numpy index arrays broadcast as in a gather."""
+    byte, shift = np.divmod(cols, 8)
+    return (table.blocked[t, rows, byte] >> shift) & 1
+
+
+def oracle_min_arrival(table, goal):
+    """Earliest legal arrival at ``goal``: one past its last transient
+    reservation up to the table's settle time (0 when there is none)."""
+    radius = table.radius
+    upto = min(table.latest_parked_time(), table.blocked.shape[0] - 1)
+    transients = np.nonzero(
+        _blocked_bits(table, slice(0, upto + 1), goal[0] + radius,
+                      goal[1] + radius)
+    )[0]
+    return int(transients[-1]) + 1 if transients.size else 0
+
+
+def oracle_direct_path(router, start, goal, min_arrival, table, horizon):
+    """The static-shortest path probed as one vectorized gather (same
+    contract as :meth:`WavefrontRouter._direct_path`)."""
+    distance = chebyshev_heuristic(start, goal)
+    if distance == 0:
+        return np.asarray([start], dtype=np.int32) if min_arrival == 0 else None
+    if router._blocked_arr is None:
+        steps = np.arange(distance + 1)
+        dr, dc = goal[0] - start[0], goal[1] - start[1]
+        row_seq = start[0] + np.sign(dr) * np.minimum(steps, abs(dr))
+        col_seq = start[1] + np.sign(dc) * np.minimum(steps, abs(dc))
+    else:
+        fld = router._static_distance(goal)
+        if fld[start] != distance:
+            return None
+        walk = np.asarray(downhill_path(fld, start), dtype=np.int64)
+        row_seq, col_seq = walk[:, 0], walk[:, 1]
+    arrival = max(distance, min_arrival)
+    if arrival > horizon:
+        return None
+    waits = arrival - distance
+    if waits:
+        row_seq = np.concatenate(
+            [np.full(waits, start[0], dtype=np.int64), row_seq]
+        )
+        col_seq = np.concatenate(
+            [np.full(waits, start[1], dtype=np.int64), col_seq]
+        )
+    radius = table.radius
+    t_seq = np.arange(1, arrival + 1)
+    rows = row_seq[1:] + radius
+    cols = col_seq[1:] + radius
+    if (table.parked_from[rows, cols] <= t_seq).any():
+        return None
+    if _blocked_bits(table, t_seq, rows, cols).any():
+        return None
+    return np.column_stack([row_seq, col_seq]).astype(np.int32)
+
+
+def oracle_reserve_path(table, path):
+    """Reserve ``path`` with one scatter per byte of the window run over
+    every (t, window row) at once (t differs along the path, so no index
+    repeats within a scatter)."""
+    arr = np.asarray(path, dtype=np.int64).reshape(-1, 2)
+    from_t = len(arr) - 1
+    radius = table.radius
+    if from_t > 0:
+        __, plane_rows, row_bytes = table.blocked.shape
+        run = (1 << (2 * radius + 1)) - 1
+        run_bytes = (2 * radius + 1 + 7 + 7) // 8
+        window_rows = np.arange(2 * radius + 1) * row_bytes
+        byte, shift = np.divmod(arr[:from_t, 1], 8)
+        top = np.arange(from_t) * plane_rows + arr[:from_t, 0]
+        index = (top * row_bytes + byte)[:, None] + window_rows
+        bits = (run << shift)[:, None]
+        flat = table.blocked.reshape(-1)
+        for k in range(run_bytes):
+            flat[index + k] |= ((bits >> (8 * k)) & 0xFF).astype(np.uint8)
+    goal_r = int(arr[-1, 0]) + radius
+    goal_c = int(arr[-1, 1]) + radius
+    window = table.parked_from[
+        goal_r - radius : goal_r + radius + 1,
+        goal_c - radius : goal_c + radius + 1,
+    ]
+    np.minimum(window, from_t, out=window)
+    table._latest_parked = max(table._latest_parked, from_t)

@@ -309,3 +309,43 @@ def test_sense_all_matches_scalar_chain_distribution():
         for cage in chip.cages.cages
     }
     assert batched == scalar
+
+
+@pytest.mark.parametrize("separation", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_step_reports_the_frame_dirty_rows(separation, seed):
+    """``step``/``step_arrays`` return exactly the rows whose phases
+    differ between the frames before and after the step, on both the
+    scalar (<= 8 movers) and the vectorized path, chains included."""
+    rng = random.Random(seed * 10 + separation)
+    grid = ElectrodeGrid(rows=30, cols=30, pitch=um(20.0))
+    manager = CageManager(grid, min_separation=separation)
+    for row in range(0, 30, separation + 1):
+        for col in range(0, 30, separation + 1):
+            if rng.random() < 0.7:
+                manager.create((row, col))
+    steps = {"scalar": 0, "vector": 0}
+    for __ in range(300):
+        ids = sorted(manager._cages)
+        chosen = rng.sample(ids, rng.randint(1, min(len(ids), 20)))
+        shift = (rng.randint(-1, 1), rng.randint(-1, 1))
+        if rng.random() < 0.5:  # a shared shift: chains, mostly legal
+            moves = {c: shift for c in chosen}
+        else:
+            moves = {c: (rng.randint(-1, 1), rng.randint(-1, 1))
+                     for c in chosen}
+        before = manager.frame()
+        try:
+            if rng.random() < 0.5:
+                rows = manager.step(moves)
+            else:
+                rows = manager.step_arrays(
+                    np.fromiter(moves, dtype=np.int64),
+                    np.asarray(list(moves.values())),
+                )
+        except CageError:
+            assert np.array_equal(manager.frame().phases, before.phases)
+            continue
+        assert rows == manager.frame().dirty_rows(before)
+        steps["scalar" if len(moves) <= 8 else "vector"] += 1
+    assert steps["scalar"] > 5 and steps["vector"] > 5
